@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -63,8 +64,16 @@ func (n *Network) audit() error {
 	}
 	// Credit conservation across inter-router links: upstream credits +
 	// downstream occupancy must bracket the depth once in-flight slack (at
-	// most 2 flits on the wire + 1 credit in flight) is allowed.
-	idx := 0
+	// most 2 flits on the wire + the credits in flight) is allowed. The
+	// credits in flight are the pending credit-return events on the wheel,
+	// counted per handler id; at the step boundary every staged schedule
+	// has reached the wheel.
+	inFlight := make(map[uint64]int)
+	n.wheel.Each(func(_ sim.Cycle, e sim.Entry) {
+		if sim.HandlerKind(e.ID) == sim.HRouterCredit {
+			inFlight[e.ID]++
+		}
+	})
 	for r := range n.routers {
 		x, y := cfg.routerXY(r)
 		neigh := [][3]int{
@@ -93,14 +102,13 @@ func (n *Network) audit() error {
 			// constant).
 			slack := 2 + up.Channel().OutstandingFlits() + up.Channel().RxPending()
 			for v := 0; v < cfg.VCs; v++ {
-				vcSlack := slack + down.CreditsInFlight(cfg.meshPort(h[1]), v)
+				vcSlack := slack + inFlight[down.CreditID(cfg.meshPort(h[1]), v)]
 				sum := up.Credits(v) + down.InputBuffer(cfg.meshPort(h[1]), v).Len()
 				if sum > cfg.BufDepth || sum < cfg.BufDepth-vcSlack {
 					return fmt.Errorf("network: link router %d dir %d vc %d: credits+occupancy = %d, want within [%d,%d]",
 						r, h[0], v, sum, cfg.BufDepth-vcSlack, cfg.BufDepth)
 				}
 			}
-			idx++
 		}
 	}
 	return nil

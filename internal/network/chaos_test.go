@@ -200,3 +200,47 @@ func TestAuditQuiescent(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedCreditAudit drives the Fig 6 hot-spot shape on the default
+// 8×8×8 system at several shard counts and audits credit conservation
+// along the way and after the run. Credit returns cross shard boundaries:
+// the downstream router's shard schedules them and the upstream router's
+// shard runs them, so any per-VC counter both sides touched would race
+// (run under -race) and drift out of the audit's bracket. The audit reads
+// the credits in flight from the pending wheel events instead.
+//
+//	go test -race ./internal/network -run ShardedCreditAudit -netshards 2 -count=3
+func TestShardedCreditAudit(t *testing.T) {
+	shardCounts := []int{2, 4}
+	if *netShards > 0 {
+		shardCounts = []int{*netShards}
+	}
+	const length = 8_000
+	for _, k := range shardCounts {
+		cfg := DefaultConfig()
+		cfg.Shards = k
+		gen := &traffic.Hotspot{
+			Nodes: cfg.Nodes(),
+			Phases: traffic.Schedule{
+				{Until: length / 4, NetworkRate: 2.0},
+				{Until: length / 2, NetworkRate: 3.8},
+				{Until: length, NetworkRate: 4.2},
+			},
+			HotNode:   cfg.NodeID(3, 5, 4),
+			HotWeight: 4,
+			Size:      5,
+		}
+		n := MustNew(cfg, gen)
+		for n.Now() < length {
+			n.RunTo(n.Now() + 1_000)
+			if err := n.Audit(); err != nil {
+				n.Close()
+				t.Fatalf("shards=%d: audit at cycle %d: %v", k, n.Now(), err)
+			}
+		}
+		if n.DeliveredPackets() == 0 {
+			t.Errorf("shards=%d: no packets delivered", k)
+		}
+		n.Close()
+	}
+}

@@ -35,7 +35,7 @@ func BenchmarkChannelSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		w.Advance(now)
+		runCycle(w, now)
 		ch.Send(now, FlitRef{Pkt: p, Seq: int32(i)})
 	}
 }
@@ -57,7 +57,7 @@ func BenchmarkGrantPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		h.wheel.Advance(now)
+		runCycle(h.wheel, now)
 		if i%8 != 7 { // keep the buffer fed but bounded
 			accept(now, FlitRef{Pkt: p, Seq: seq, VC: 0})
 			seq++

@@ -38,7 +38,7 @@ func TestChannelFullRateBackToBack(t *testing.T) {
 	now := sim.Cycle(0)
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 10; cycle++ {
-		w.Advance(cycle)
+		runCycle(w, cycle)
 		if sent < 4 && ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -65,7 +65,7 @@ func TestChannelHalfRateTakesTwoCycles(t *testing.T) {
 	p := &Packet{Len: 3}
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 10; cycle++ {
-		w.Advance(cycle)
+		runCycle(w, cycle)
 		if sent < 3 && ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -92,7 +92,7 @@ func TestChannelFractionalRateAverages(t *testing.T) {
 	p := &Packet{Len: 1000}
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 30; cycle++ {
-		w.Advance(cycle)
+		runCycle(w, cycle)
 		if ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -107,7 +107,7 @@ func TestChannelBusyCycles(t *testing.T) {
 	w := sim.NewWheel(64)
 	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 10}
-	w.Advance(0)
+	runCycle(w, 0)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	if got := ch.BusyCycles(); math.Abs(got-2.0) > 1e-9 {
 		t.Errorf("busy cycles after one 5 Gb/s flit = %g, want 2", got)
@@ -121,7 +121,7 @@ func TestChannelSendWhileBusyPanics(t *testing.T) {
 	w := sim.NewWheel(64)
 	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 2}
-	w.Advance(0)
+	runCycle(w, 0)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	defer func() {
 		if recover() == nil {
@@ -151,7 +151,7 @@ func TestChannelNextUsableAfterSerialisation(t *testing.T) {
 	w := sim.NewWheel(64)
 	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 2}
-	w.Advance(0)
+	runCycle(w, 0)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	if at := ch.NextUsableAt(1); at != 2 {
 		t.Errorf("NextUsableAt mid-serialisation = %d, want 2", at)

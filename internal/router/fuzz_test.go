@@ -64,7 +64,7 @@ func runReplayScenario(t *testing.T, src *scriptedFaults, nFlits int) {
 	const deadline = sim.Cycle(100_000)
 	sent := 0
 	for now := sim.Cycle(0); now < deadline; now++ {
-		w.Advance(now)
+		runCycle(w, now)
 		if sent < nFlits && ch.Usable(now) {
 			ch.Send(now, FlitRef{Pkt: pkts[sent], Seq: 0, VC: 0})
 			sent++

@@ -63,8 +63,8 @@ type Config struct {
 	BufDepth int // flits per input VC
 	Route    RouteFunc
 	// Actor is the router's ordering-key identity (sim.ActorKey owner). 0 is
-	// fine for standalone routers driven by a wheel's insertion-order
-	// Advance; a sharded network assigns every router a unique actor id.
+	// fine for a standalone router on its own wheel; a sharded network
+	// assigns every router a unique actor id.
 	Actor uint32
 	// EscapeVCs reserves the first EscapeVCs virtual channels of every
 	// port as the escape layer of fault-aware routing (Duato-style): VC
@@ -107,10 +107,6 @@ type inputVC struct {
 	upVC int
 	//optolint:derived credit-return wiring re-installed by SetUpstream during construction
 	creditKey uint64 // ordering key for credit returns: (upstream actor, us)
-	// creditsInFlight counts credit returns scheduled but not yet
-	// delivered upstream. Burst discards put several in flight at once;
-	// the conservation audit needs the exact count to bracket tightly.
-	creditsInFlight int
 
 	// progressAt is the cycle of the last forward progress on this VC —
 	// a pop, or an arrival into an empty buffer. The stall watchdog
@@ -186,7 +182,6 @@ func New(cfg Config, sched Scheduler) *Router {
 		in.holEvt = func(now sim.Cycle) { r.register(now, idx) }
 		in.creditEvt = func(now sim.Cycle) {
 			in := &r.ins[idx]
-			in.creditsInFlight--
 			if up := in.upstream; up != nil {
 				up.ReturnCredit(now, in.upVC)
 			}
@@ -260,11 +255,10 @@ func (r *Router) Output(p int) *Output { return &r.outs[p] }
 // what the upstream link's policy controller samples for Bu.
 func (r *Router) InputBuffer(p, v int) *Buffer { return r.ins[p*r.vcs+v].buf }
 
-// CreditsInFlight returns the number of credit returns for input port p,
-// VC v that are scheduled but not yet delivered upstream — conservation
-// slack for the audit (a killed packet's discard puts one per flit in
-// flight at once).
-func (r *Router) CreditsInFlight(p, v int) int { return r.ins[p*r.vcs+v].creditsInFlight }
+// CreditID returns the handler descriptor of input port p, VC v's credit
+// returns. The credit events pending on the wheel under this id are the
+// credits in flight back upstream.
+func (r *Router) CreditID(p, v int) uint64 { return r.creditID(p*r.vcs + v) }
 
 // SetUpstream wires the credit-return path for input port p, VC v: when a
 // flit leaves that buffer, sink.ReturnCredit(·, upVC) is invoked after
@@ -356,7 +350,6 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 		in.progressAt = now
 		r.flitsDiscarded++
 		if in.upstream != nil {
-			in.creditsInFlight++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
 		}
 		if f.IsTail() && in.curPkt == p {
@@ -609,7 +602,6 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			r.escGrants++
 		}
 		if in.upstream != nil {
-			in.creditsInFlight++
 			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
 		}
 		f.VC = int8(v)

@@ -26,8 +26,16 @@ func (h *harness) ActivateOutput(o *Output) {
 	}
 }
 
+// runCycle harvests cycle now from w and runs its events in canonical
+// order, as the network's Step does.
+func runCycle(w *sim.Wheel, now sim.Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
+	}
+}
+
 func (h *harness) step() {
-	h.wheel.Advance(h.now)
+	runCycle(h.wheel, h.now)
 	outs := h.active
 	h.active = nil
 	for _, o := range outs {

@@ -190,9 +190,6 @@ type InputVCState struct {
 	CurPktID   int64 // 0 = no wormhole in progress
 	InReq      bool
 	ProgressAt sim.Cycle
-	// CreditsInFlight mirrors the scheduled-but-undelivered credit
-	// returns; the wheel snapshot re-creates the events themselves.
-	CreditsInFlight int
 }
 
 // OutVCState is one output VC's credit and ownership state.
@@ -250,7 +247,6 @@ func (r *Router) ExportState(collect PacketCollector) RouterState {
 		}
 		is.InReq = in.inReq
 		is.ProgressAt = in.progressAt
-		is.CreditsInFlight = in.creditsInFlight
 	}
 	for p := range r.outs {
 		o := &r.outs[p]
@@ -299,7 +295,6 @@ func (r *Router) RestoreState(st RouterState, resolve PacketResolver) error {
 		}
 		in.inReq = is.InReq
 		in.progressAt = is.ProgressAt
-		in.creditsInFlight = is.CreditsInFlight
 	}
 	for p := range st.Outs {
 		o := &r.outs[p]

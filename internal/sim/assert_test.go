@@ -28,19 +28,31 @@ func TestSkipToUpToEventIsLegal(t *testing.T) {
 	w := NewWheel(64)
 	w.Schedule(5, func(Cycle) {})
 	w.SkipTo(4) // the event is still in the future; no panic
-	w.Advance(5)
+	w.BeginCycle(5)
 }
 
-func TestAdvanceOverEventPanics(t *testing.T) {
+func TestBeginCycleOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
 	w.Schedule(3, func(Cycle) {})
-	mustPanic(t, func() { w.Advance(7) })
+	mustPanic(t, func() { w.BeginCycle(7) })
 }
 
-func TestAdvanceBackwardsPanics(t *testing.T) {
+func TestBeginCycleBackwardsPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Advance(9)
-	mustPanic(t, func() { w.Advance(4) })
+	w.BeginCycle(9)
+	mustPanic(t, func() { w.BeginCycle(4) })
+}
+
+// TestBeginCycleSeqOrderPanics breaks the invariant the comparator-free
+// harvest relies on — a bucket in Seq order — and expects the assertion.
+func TestBeginCycleSeqOrderPanics(t *testing.T) {
+	w := NewWheel(64)
+	nop := func(Cycle) {}
+	w.ScheduleKeyed(5, 1, nop)
+	w.ScheduleKeyed(5, 2, nop)
+	b := w.buckets[5]
+	b[0], b[1] = b[1], b[0]
+	mustPanic(t, func() { w.BeginCycle(5) })
 }
 
 func TestAssertfFormatsMessage(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 )
@@ -32,24 +31,15 @@ type WheelState struct {
 func (w *Wheel) ExportState() (WheelState, error) {
 	st := WheelState{Now: w.now, Seq: w.seq}
 	st.Entries = make([]WheelEntryState, 0, w.pending)
-	for idx := range w.buckets {
-		b := w.buckets[idx]
-		if len(b) == 0 {
-			continue
+	var err error
+	w.Each(func(at Cycle, e Entry) {
+		if e.ID == 0 && err == nil {
+			err = fmt.Errorf("sim: wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", e.Key, e.Seq, at)
 		}
-		at := w.cycleFor(idx)
-		for _, e := range b {
-			if e.ID == 0 {
-				return WheelState{}, fmt.Errorf("sim: wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", e.Key, e.Seq, at)
-			}
-			st.Entries = append(st.Entries, WheelEntryState{At: at, Key: e.Key, Seq: e.Seq, ID: e.ID})
-		}
-	}
-	for _, fe := range w.far {
-		if fe.id == 0 {
-			return WheelState{}, fmt.Errorf("sim: far wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", fe.key, fe.seq, fe.at)
-		}
-		st.Entries = append(st.Entries, WheelEntryState{At: fe.at, Key: fe.key, Seq: fe.seq, ID: fe.id})
+		st.Entries = append(st.Entries, WheelEntryState{At: at, Key: e.Key, Seq: e.Seq, ID: e.ID})
+	})
+	if err != nil {
+		return WheelState{}, err
 	}
 	slices.SortFunc(st.Entries, func(a, b WheelEntryState) int {
 		if a.Seq < b.Seq {
@@ -70,21 +60,20 @@ func (w *Wheel) ExportState() (WheelState, error) {
 // closure; an unresolvable ID is an error, as is an entry at or before the
 // restored clock (a restored wheel must be strictly monotonic).
 func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool)) error {
-	for idx := range w.buckets {
-		b := w.buckets[idx]
-		for i := range b {
-			b[i] = Entry{}
+	for idx, b := range w.buckets {
+		if b != nil {
+			clear(b)
+			w.free = append(w.free, b[:0])
+			w.buckets[idx] = nil
 		}
-		w.buckets[idx] = b[:0]
 	}
-	for i := range w.occ {
-		w.occ[i] = 0
-	}
+	clear(w.occ)
+	clear(w.far)
 	w.far = w.far[:0]
 	w.pending = 0
 	w.now = st.Now
 	w.seq = st.Seq
-	w.advancing = false
+	var prev uint64
 	for _, e := range st.Entries {
 		if e.At <= st.Now {
 			return fmt.Errorf("sim: restored wheel entry at %d is not after the restored clock %d", e.At, st.Now)
@@ -92,18 +81,17 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 		if e.Seq > st.Seq {
 			return fmt.Errorf("sim: restored wheel entry seq %d exceeds the sequence counter %d", e.Seq, st.Seq)
 		}
+		// Harvest order relies on every bucket holding its entries in Seq
+		// order, which re-inserting in export order preserves.
+		if e.Seq <= prev {
+			return fmt.Errorf("sim: restored wheel entry seq %d does not follow seq %d", e.Seq, prev)
+		}
+		prev = e.Seq
 		ev, ok := resolve(e.ID)
 		if !ok || ev == nil {
 			return fmt.Errorf("sim: no handler for wheel entry id %#x (at=%d key=%#x)", e.ID, e.At, e.Key)
 		}
-		w.pending++
-		if e.At-w.now >= w.horizon {
-			heap.Push(&w.far, farEvent{at: e.At, key: e.Key, seq: e.Seq, id: e.ID, ev: ev})
-			continue
-		}
-		idx := e.At & w.mask
-		w.buckets[idx] = append(w.buckets[idx], Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
-		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
+		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
 	}
 	if Debug {
 		if next, ok := w.NextEventAt(); ok {

@@ -62,13 +62,13 @@ type wheelFire struct {
 	ID uint64
 }
 
-// drainWheel advances a wheel cycle by cycle to horizon, recording every
+// drainWheel harvests a wheel cycle by cycle to horizon, recording every
 // firing in execution order. fired points at the slice the restored
 // handler closures append to.
 func drainWheel(w *Wheel, horizon Cycle, fired *[]wheelFire) []wheelFire {
 	*fired = (*fired)[:0]
 	for c := w.now + 1; c <= horizon; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	out := make([]wheelFire, len(*fired))
 	copy(out, *fired)
@@ -101,14 +101,14 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	ref := build()
 	var refTail []wheelFire
 	for c := Cycle(1); c <= 3; c++ {
-		ref.Advance(c)
+		runCycle(ref, c)
 	}
 	refTail = drainWheel(ref, 500, &fired)
 
 	// Round trip at cycle 3 (before anything fired).
 	w := build()
 	for c := Cycle(1); c <= 3; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	st, err := w.ExportState()
 	if err != nil {
@@ -170,6 +170,12 @@ func TestWheelRestoreValidation(t *testing.T) {
 	unseq := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 6, ID: 7}}}
 	if err := w.RestoreState(unseq, resolve); err == nil {
 		t.Fatal("restore accepted an entry seq beyond the sequence counter")
+	}
+
+	w = NewWheel(64)
+	unordered := WheelState{Now: 10, Seq: 5, Entries: []WheelEntryState{{At: 11, Key: 1, Seq: 3, ID: 7}, {At: 11, Key: 2, Seq: 2, ID: 7}}}
+	if err := w.RestoreState(unordered, resolve); err == nil {
+		t.Fatal("restore accepted entries out of Seq order")
 	}
 
 	w = NewWheel(64)

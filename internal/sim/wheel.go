@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/bits"
 	"slices"
 )
@@ -36,17 +35,20 @@ type Entry struct {
 // few word scans, which is what lets the surrounding simulator fast-forward
 // over idle gaps instead of advancing cycle by cycle.
 //
-// Two draining disciplines coexist:
+// There is one drain discipline: BeginCycle hands a cycle's events back
+// sorted by (Key, Seq) — a total order that is independent of how many
+// shards produced them, as long as every key has a single deterministic
+// producer — and the caller runs them (DESIGN.md §6g). The ordering is a
+// stable sort on Key alone: a harvested run is already in Seq order
+// (matured far-heap events, then the bucket), so no comparator ever looks
+// at Seq.
 //
-//   - Advance fires a cycle's events in insertion order (far-heap events
-//     first), exactly the historical sequential semantics. Standalone users
-//     (unit tests, the telemetry sampler driving its own wheel) use this.
-//   - BeginCycle hands the cycle's events back sorted by (Key, Seq) — a
-//     total order that is independent of how many shards produced them, as
-//     long as every key has a single deterministic producer. The parallel
-//     network engine uses this; see DESIGN.md §6g.
+// Storage is recycled: a harvested bucket's backing array goes on a free
+// list and the next empty bucket to receive an entry takes it back, so
+// memory is bounded by the buckets occupied at once and a steady-state
+// cycle allocates nothing.
 type Wheel struct {
-	buckets [][]Entry
+	buckets [][]Entry // nil when empty; see free
 	//optolint:derived occupancy bitmap, rebuilt by the restore path's re-inserts
 	occ     []uint64 // bit b set iff buckets[b] is non-empty
 	mask    Cycle
@@ -55,10 +57,14 @@ type Wheel struct {
 	far     farHeap
 	pending int
 	seq     uint64
-	//optolint:derived BeginCycle scratch, reused across cycles
-	run []Entry // BeginCycle scratch, reused across cycles
-	//optolint:derived re-entrancy guard, false whenever the wheel is quiescent enough to export
-	advancing bool
+	//optolint:derived BeginCycle output, reused across cycles
+	run []Entry
+	//optolint:derived BeginCycle scratch for matured far events, reused across cycles
+	merge []Entry
+	//optolint:derived empty recycled bucket arrays, holding no entries
+	free [][]Entry
+	//optolint:derived BeginCycle owner-group histogram scratch
+	hist []int32
 }
 
 // NewWheel returns a wheel with the given power-of-two bucket count.
@@ -75,10 +81,9 @@ func NewWheel(size int) *Wheel {
 }
 
 // Schedule registers ev to fire at cycle at under key 0 (the coordinator
-// band; see ScheduleKeyed). Inside an Advance callback, scheduling for the
-// current cycle fires later in the same Advance; outside of Advance, a
-// request for the current cycle (or earlier) is deferred to the next cycle,
-// since the current cycle's bucket has already run.
+// band; see ScheduleKeyed). A request for the current cycle (or earlier) is
+// deferred to the next cycle, since the current cycle's bucket has already
+// been harvested.
 func (w *Wheel) Schedule(at Cycle, ev Event) {
 	w.ScheduleKeyed(at, 0, ev)
 }
@@ -101,68 +106,41 @@ func (w *Wheel) ScheduleID(at Cycle, id uint64, ev Event) {
 // the entry, allowing the wheel's contents to be exported to a checkpoint
 // and resolved back to events on restore.
 func (w *Wheel) ScheduleKeyedID(at Cycle, key, id uint64, ev Event) {
-	if w.advancing {
-		if at < w.now {
-			at = w.now
-		}
-	} else if at <= w.now {
+	if at <= w.now {
 		at = w.now + 1
 	}
-	w.pending++
 	w.seq++
+	w.insert(at, Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
+}
+
+// insert files e under cycle at (> w.now): in its bucket when at lies
+// within the horizon, in the far heap otherwise. Schedules and restores
+// share it, so both fill the same recycled storage.
+func (w *Wheel) insert(at Cycle, e Entry) {
+	w.pending++
 	if at-w.now >= w.horizon {
-		heap.Push(&w.far, farEvent{at: at, key: key, seq: w.seq, id: id, ev: ev})
+		w.far.push(farEvent{at: at, e: e})
 		return
 	}
 	idx := at & w.mask
-	w.buckets[idx] = append(w.buckets[idx], Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
-	w.occ[idx>>6] |= 1 << (uint(idx) & 63)
-}
-
-// Advance runs every event scheduled for cycle now in insertion order.
-// Cycles must be presented in increasing order; gaps are allowed only when
-// every skipped cycle is known to be event-free (see NextEventAt and
-// SkipTo).
-func (w *Wheel) Advance(now Cycle) {
-	if Debug {
-		Assertf(now >= w.now, "wheel: Advance(%d) moves the clock backwards from %d", now, w.now)
-		if next, ok := w.NextEventAt(); ok {
-			Assertf(next >= now, "wheel: Advance(%d) would skip over the event scheduled at %d", now, next)
+	b := w.buckets[idx]
+	if b == nil {
+		if k := len(w.free); k > 0 {
+			b = w.free[k-1]
+			w.free = w.free[:k-1]
 		}
+		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
 	}
-	w.now = now
-	w.advancing = true
-	// Pull matured far events into the current bucket first.
-	for len(w.far) > 0 && w.far[0].at <= now {
-		fe := heap.Pop(&w.far).(farEvent)
-		w.pending--
-		fe.ev(now)
-	}
-	idx := now & w.mask
-	if len(w.buckets[idx]) == 0 {
-		w.advancing = false
-		return
-	}
-	// Events may schedule new events for this same cycle; they land in the
-	// same bucket, so iterate by index and re-read.
-	for i := 0; i < len(w.buckets[idx]); i++ {
-		ev := w.buckets[idx][i].Ev
-		w.buckets[idx][i] = Entry{}
-		w.pending--
-		ev(now)
-	}
-	w.buckets[idx] = w.buckets[idx][:0]
-	w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	w.advancing = false
+	w.buckets[idx] = append(b, e)
 }
 
 // BeginCycle removes every event scheduled for cycle now — matured far-heap
 // events included — and returns them sorted by (Key, Seq): key-0
 // coordinator events first, then each actor's events in insertion order.
 // The caller owns running them; the returned slice is valid until the next
-// BeginCycle. Unlike Advance, callbacks that schedule for the current cycle
-// are deferred to the next one (the bucket has already been harvested), so
-// the canonical engine never sees same-cycle insertions.
+// BeginCycle. Callbacks that schedule for the current cycle are deferred to
+// the next one (the bucket has already been harvested), so the canonical
+// engine never sees same-cycle insertions.
 func (w *Wheel) BeginCycle(now Cycle) []Entry {
 	if Debug {
 		Assertf(now >= w.now, "wheel: BeginCycle(%d) moves the clock backwards from %d", now, w.now)
@@ -171,38 +149,114 @@ func (w *Wheel) BeginCycle(now Cycle) []Entry {
 		}
 	}
 	w.now = now
-	w.run = w.run[:0]
-	for len(w.far) > 0 && w.far[0].at <= now {
-		fe := heap.Pop(&w.far).(farEvent)
-		w.pending--
-		w.run = append(w.run, Entry{Key: fe.key, Seq: fe.seq, ID: fe.id, Ev: fe.ev})
-	}
 	idx := now & w.mask
 	b := w.buckets[idx]
-	if len(b) > 0 {
-		w.run = append(w.run, b...)
-		w.pending -= len(b)
-		for i := range b {
-			b[i] = Entry{}
-		}
-		w.buckets[idx] = b[:0]
+	if b != nil {
+		w.buckets[idx] = nil
 		w.occ[idx>>6] &^= 1 << (uint(idx) & 63)
+		w.pending -= len(b)
 	}
-	if len(w.run) > 1 {
-		slices.SortFunc(w.run, func(a, b Entry) int {
-			if a.Key != b.Key {
-				if a.Key < b.Key {
-					return -1
-				}
-				return 1
-			}
-			if a.Seq < b.Seq {
-				return -1
-			}
-			return 1
-		})
+	in := b
+	merged := len(w.far) > 0 && w.far[0].at <= now
+	if merged {
+		// Far events for this cycle were scheduled a full horizon ahead,
+		// before any of the bucket's entries, so they precede them in Seq.
+		m := w.merge[:0]
+		for len(w.far) > 0 && w.far[0].at <= now {
+			m = append(m, w.far.pop().e)
+		}
+		w.pending -= len(m)
+		in = append(m, b...)
+		w.merge = in
+	}
+	if Debug {
+		for i := 1; i < len(in); i++ {
+			Assertf(in[i-1].Seq < in[i].Seq, "wheel: cycle %d harvest out of Seq order (%d before %d)", now, in[i-1].Seq, in[i].Seq)
+		}
+	}
+	if len(in) == 0 {
+		w.run = w.run[:0]
+		return w.run
+	}
+	w.orderRun(in)
+	if merged {
+		clear(in)
+	}
+	if b != nil {
+		clear(b)
+		w.free = append(w.free, b[:0])
 	}
 	return w.run
+}
+
+// insertionMax is the run length up to which BeginCycle orders by plain
+// insertion sort; longer runs are bucketed by owner first.
+const insertionMax = 16
+
+// orderRun sets w.run to src stably sorted by Key. Because src is in Seq
+// order, the result is in (Key, Seq) order. Long runs are first scattered
+// into owner groups by a counting pass over the run's own [min, max] owner
+// range, and one insertion pass then orders each group by its full key.
+// Owner groups hold a handful of events, so that pass is linear in
+// practice. When the owner range is wide relative to the run, adjacent
+// owners share a group so the histogram never outgrows the run.
+func (w *Wheel) orderRun(src []Entry) {
+	n := len(src)
+	out := slices.Grow(w.run[:0], n)[:n]
+	w.run = out
+	if n <= insertionMax {
+		copy(out, src)
+		insertionSortByKey(out)
+		return
+	}
+	lo := src[0].Key >> ActorSrcBits
+	hi := lo
+	for _, e := range src[1:] {
+		o := e.Key >> ActorSrcBits
+		lo = min(lo, o)
+		hi = max(hi, o)
+	}
+	shift := uint(0)
+	for (hi-lo)>>shift >= uint64(4*n) {
+		shift++
+	}
+	// Counting sort on (owner-lo)>>shift; w.hist is all zero between calls.
+	groups := int((hi-lo)>>shift) + 1
+	if cap(w.hist) < groups {
+		w.hist = make([]int32, groups)
+	}
+	h := w.hist[:groups]
+	for _, e := range src {
+		h[(e.Key>>ActorSrcBits-lo)>>shift]++
+	}
+	var sum int32
+	for g, c := range h {
+		h[g] = sum
+		sum += c
+	}
+	for _, e := range src {
+		g := (e.Key>>ActorSrcBits - lo) >> shift
+		out[h[g]] = e
+		h[g]++
+	}
+	clear(h)
+	insertionSortByKey(out)
+}
+
+// insertionSortByKey stably sorts s by Key.
+func insertionSortByKey(s []Entry) {
+	for i := 1; i < len(s); i++ {
+		if s[i-1].Key <= s[i].Key {
+			continue
+		}
+		e := s[i]
+		j := i
+		for j > 0 && s[j-1].Key > e.Key {
+			s[j] = s[j-1]
+			j--
+		}
+		s[j] = e
+	}
 }
 
 // SkipTo declares every cycle in (w.now, now] event-free and jumps the
@@ -266,33 +320,79 @@ func (w *Wheel) cycleFor(idx int) Cycle {
 	return w.now + 1 + Cycle(d)
 }
 
+// Each calls f for every pending event with its absolute fire cycle, in
+// no particular order. f must not schedule into the wheel.
+func (w *Wheel) Each(f func(at Cycle, e Entry)) {
+	for idx, b := range w.buckets {
+		if b == nil {
+			continue
+		}
+		at := w.cycleFor(idx)
+		for _, e := range b {
+			f(at, e)
+		}
+	}
+	for _, fe := range w.far {
+		f(fe.at, fe.e)
+	}
+}
+
 // Pending returns the number of scheduled events not yet fired. A drained
 // wheel with idle traffic sources means the simulation has quiesced.
 func (w *Wheel) Pending() int { return w.pending }
 
+// farEvent is an entry beyond the wheel's horizon, keyed by its absolute
+// fire cycle.
 type farEvent struct {
-	at  Cycle
-	key uint64
-	seq uint64
-	id  uint64
-	ev  Event
+	at Cycle
+	e  Entry
 }
 
+// farHeap is a binary min-heap on (at, Seq). Sequence numbers are unique,
+// so the pop order is fully determined by the entries, not by the layout.
 type farHeap []farEvent
 
-func (h farHeap) Len() int { return len(h) }
-func (h farHeap) Less(i, j int) bool {
+func (h farHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].seq < h[j].seq
+	return h[i].e.Seq < h[j].e.Seq
 }
-func (h farHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *farHeap) Push(x interface{}) { *h = append(*h, x.(farEvent)) }
-func (h *farHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *farHeap) push(fe farEvent) {
+	*h = append(*h, fe)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *farHeap) pop() farEvent {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s[n] = farEvent{}
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(r, c) {
+			c = r
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }

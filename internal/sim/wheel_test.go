@@ -1,9 +1,18 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// runCycle harvests cycle now and runs its events in canonical order, the
+// way the network's Step drains the wheel.
+func runCycle(w *Wheel, now Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
+	}
+}
 
 func TestWheelFiresAtScheduledCycle(t *testing.T) {
 	w := NewWheel(16)
@@ -18,7 +27,7 @@ func TestWheelFiresAtScheduledCycle(t *testing.T) {
 		})
 	}
 	for c := Cycle(0); c < 20; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	if len(fired) != 4 {
 		t.Errorf("fired %d events, want 4", len(fired))
@@ -33,7 +42,7 @@ func TestWheelFarFuture(t *testing.T) {
 	var got Cycle = -1
 	w.Schedule(1000, func(now Cycle) { got = now })
 	for c := Cycle(0); c <= 1000; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	if got != 1000 {
 		t.Errorf("far event fired at %d, want 1000", got)
@@ -41,31 +50,31 @@ func TestWheelFarFuture(t *testing.T) {
 }
 
 func TestWheelSameCycleChaining(t *testing.T) {
-	// An event may schedule another event for the same cycle; it must fire
-	// within the same Advance.
+	// An event that schedules another for its own cycle chains it onto the
+	// next cycle: the harvested bucket is never appended to.
 	w := NewWheel(8)
-	order := []int{}
+	var fired []Cycle
 	w.Schedule(5, func(now Cycle) {
-		order = append(order, 1)
-		w.Schedule(5, func(Cycle) { order = append(order, 2) })
+		fired = append(fired, now)
+		w.Schedule(now, func(at Cycle) { fired = append(fired, at) })
 	})
 	for c := Cycle(0); c < 8; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Errorf("chained events order = %v", order)
+	if len(fired) != 2 || fired[0] != 5 || fired[1] != 6 {
+		t.Errorf("chained events fired at %v, want [5 6]", fired)
 	}
 }
 
 func TestWheelPastScheduleOutsideAdvance(t *testing.T) {
-	// Outside Advance, scheduling at or before `now` defers to now+1
-	// (that bucket has already run).
+	// Scheduling at or before `now` defers to now+1 (that bucket has
+	// already been harvested).
 	w := NewWheel(8)
-	w.Advance(0)
-	w.Advance(1)
+	runCycle(w, 0)
+	runCycle(w, 1)
 	fired := Cycle(-1)
 	w.Schedule(1, func(now Cycle) { fired = now })
-	w.Advance(2)
+	runCycle(w, 2)
 	if fired != 2 {
 		t.Errorf("past-scheduled event fired at %d, want deferral to 2", fired)
 	}
@@ -76,14 +85,14 @@ func TestWheelHorizonBoundary(t *testing.T) {
 	// collide with the current bucket.
 	w := NewWheel(8)
 	fired := Cycle(-1)
-	w.Advance(0)
+	runCycle(w, 0)
 	w.Schedule(8, func(now Cycle) { fired = now })
-	w.Advance(0) // same bucket index as 8 — must NOT fire
+	runCycle(w, 0) // same bucket index as 8 — must NOT fire
 	if fired != -1 {
 		t.Fatal("event for cycle 8 fired at cycle 0 (wheel wrap bug)")
 	}
 	for c := Cycle(1); c <= 8; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	if fired != 8 {
 		t.Errorf("fired at %d, want 8", fired)
@@ -108,16 +117,16 @@ func TestWheelNextEventAtEmpty(t *testing.T) {
 	if at, ok := w.NextEventAt(); ok {
 		t.Errorf("empty wheel reported next event at %d", at)
 	}
-	w.Advance(5)
+	runCycle(w, 5)
 	if _, ok := w.NextEventAt(); ok {
-		t.Error("empty wheel reported a next event after Advance")
+		t.Error("empty wheel reported a next event after a harvest")
 	}
 }
 
 func TestWheelNextEventAtNear(t *testing.T) {
 	w := NewWheel(16)
 	nop := Event(func(Cycle) {})
-	w.Advance(0)
+	runCycle(w, 0)
 	w.Schedule(7, nop)
 	w.Schedule(12, nop)
 	if at, ok := w.NextEventAt(); !ok || at != 7 {
@@ -125,7 +134,7 @@ func TestWheelNextEventAtNear(t *testing.T) {
 	}
 	// After the first event fires, the next is 12.
 	for c := Cycle(1); c <= 7; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	if at, ok := w.NextEventAt(); !ok || at != 12 {
 		t.Errorf("NextEventAt = %d,%v, want 12,true", at, ok)
@@ -138,7 +147,7 @@ func TestWheelNextEventAtWrap(t *testing.T) {
 	w := NewWheel(16)
 	nop := Event(func(Cycle) {})
 	for c := Cycle(0); c <= 13; c++ {
-		w.Advance(c)
+		runCycle(w, c)
 	}
 	w.Schedule(17, nop) // bucket 1, current bucket 13
 	if at, ok := w.NextEventAt(); !ok || at != 17 {
@@ -165,21 +174,21 @@ func TestWheelSkipToAdvance(t *testing.T) {
 	// cycle fires the event exactly as consecutive stepping would.
 	w := NewWheel(16)
 	fired := Cycle(-1)
-	w.Advance(0)
+	runCycle(w, 0)
 	w.Schedule(9, func(now Cycle) { fired = now })
 	at, ok := w.NextEventAt()
 	if !ok || at != 9 {
 		t.Fatalf("NextEventAt = %d,%v, want 9,true", at, ok)
 	}
 	w.SkipTo(at - 1)
-	w.Advance(at)
+	runCycle(w, at)
 	if fired != 9 {
 		t.Errorf("event fired at %d, want 9", fired)
 	}
 	// After the skip, deferred past-scheduling still lands at now+1.
 	deferred := Cycle(-1)
 	w.Schedule(2, func(now Cycle) { deferred = now })
-	w.Advance(10)
+	runCycle(w, 10)
 	if deferred != 10 {
 		t.Errorf("past schedule after skip fired at %d, want 10", deferred)
 	}
@@ -209,7 +218,7 @@ func TestWheelSkipEquivalence(t *testing.T) {
 			} else {
 				now++
 			}
-			w.Advance(now)
+			runCycle(w, now)
 		}
 		return got
 	}
@@ -246,11 +255,11 @@ func TestWheelPropertyAllFire(t *testing.T) {
 			}
 			next := now + 1 + Cycle(r.Intn(5))
 			for ; now < next; now++ {
-				w.Advance(now)
+				runCycle(w, now)
 			}
 		}
 		for ; now < 1000; now++ {
-			w.Advance(now)
+			runCycle(w, now)
 		}
 		if len(got) != n {
 			return false
@@ -299,7 +308,7 @@ func TestWheelRecurringSamplerBoundsSkips(t *testing.T) {
 			w.SkipTo(next - 1)
 		}
 		now = next
-		w.Advance(now)
+		runCycle(w, now)
 		if w.Pending() != 1 {
 			t.Fatalf("pending = %d after firing, want 1 (the re-armed sampler)", w.Pending())
 		}
@@ -341,9 +350,7 @@ func TestWheelSkipToOntoBarrier(t *testing.T) {
 	// From the barrier, schedule within the new window and on its last cycle.
 	w.ScheduleKeyed(40, 3, mark)
 	for c := Cycle(33); c <= 48; c++ {
-		for _, e := range w.BeginCycle(c) {
-			e.Ev(c)
-		}
+		runCycle(w, c)
 	}
 	if !fired[40] || !fired[48] {
 		t.Errorf("fired = %v, want events at 40 and 48", fired)
@@ -436,11 +443,149 @@ func TestWheelBeginCycleSameCycleDefers(t *testing.T) {
 		w.ScheduleKeyed(now, 1, func(at Cycle) { firedAt = at })
 	})
 	for c := Cycle(0); c <= 4; c++ {
-		for _, e := range w.BeginCycle(c) {
-			e.Ev(c)
-		}
+		runCycle(w, c)
 	}
 	if firedAt != 4 {
 		t.Errorf("same-cycle insertion fired at %d, want deferral to 4", firedAt)
+	}
+}
+
+// TestWheelHarvestOrderRandomized checks every harvested run against a
+// reference stable sort by (Key, Seq) of what was scheduled for that cycle.
+// The stream mixes dense and sparse cycles over many owners and srcs, key-0
+// coordinator events, owners at the top of the actor range, far-horizon
+// entries, same-cycle deferrals from inside callbacks, skips, bucket wrap,
+// and a mid-stream ExportState/RestoreState into a fresh wheel.
+func TestWheelHarvestOrderRandomized(t *testing.T) {
+	const (
+		size      = 64
+		end       = Cycle(4_000)
+		restoreAt = Cycle(1_777)
+	)
+	type rec struct{ Key, Seq, ID uint64 }
+	r := NewRNG(99)
+	want := map[Cycle][]rec{}
+	w := NewWheel(size)
+	var seq uint64
+	var spawn Event
+	schedule := func(at Cycle) {
+		owner := uint32(1 + r.Intn(700))
+		switch r.Intn(20) {
+		case 0:
+			owner = 0
+		case 1:
+			owner = MaxActor - uint32(r.Intn(3))
+		}
+		key := ActorKey(owner, uint32(r.Intn(8)))
+		seq++
+		w.ScheduleKeyedID(at, key, seq, spawn)
+		if at <= w.now {
+			at = w.now + 1
+		}
+		want[at] = append(want[at], rec{Key: key, Seq: seq, ID: seq})
+	}
+	spawn = func(now Cycle) {
+		if now >= end || r.Intn(3) != 0 {
+			return
+		}
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			switch r.Intn(6) {
+			case 0:
+				schedule(now) // deferred to now+1
+			case 1:
+				schedule(now + size + Cycle(r.Intn(3*size))) // far heap
+			default:
+				schedule(now + 1 + Cycle(r.Intn(size-1)))
+			}
+		}
+	}
+	for now := Cycle(1); now <= end || w.Pending() > 0; now++ {
+		if now == restoreAt {
+			st, err := w.ExportState()
+			if err != nil {
+				t.Fatalf("export at %d: %v", now, err)
+			}
+			w = NewWheel(size)
+			if err := w.RestoreState(st, func(uint64) (Event, bool) { return spawn, true }); err != nil {
+				t.Fatalf("restore at %d: %v", now, err)
+			}
+		}
+		if now < end/2 {
+			burst := r.Intn(4)
+			if r.Intn(16) == 0 {
+				burst = 20 + r.Intn(400)
+			}
+			for k := 0; k < burst; k++ {
+				schedule(now + Cycle(r.Intn(2*size)))
+			}
+		} else if next, ok := w.NextEventAt(); ok && next > now+1 {
+			w.SkipTo(next - 1)
+			now = next
+		}
+		ref := want[now]
+		delete(want, now)
+		slices.SortStableFunc(ref, func(a, b rec) int {
+			if a.Key != b.Key {
+				if a.Key < b.Key {
+					return -1
+				}
+				return 1
+			}
+			if a.Seq < b.Seq {
+				return -1
+			}
+			return 1
+		})
+		run := w.BeginCycle(now)
+		if len(run) != len(ref) {
+			t.Fatalf("cycle %d: harvested %d entries, want %d", now, len(run), len(ref))
+		}
+		for i, e := range run {
+			if got := (rec{Key: e.Key, Seq: e.Seq, ID: e.ID}); got != ref[i] {
+				t.Fatalf("cycle %d entry %d: got %+v, want %+v", now, i, got, ref[i])
+			}
+		}
+		for _, e := range run {
+			e.Ev(now)
+		}
+	}
+	if len(want) != 0 || w.Pending() != 0 {
+		t.Errorf("after the stream: %d cycles still expected, %d events pending", len(want), w.Pending())
+	}
+}
+
+// TestWheelSteadyStateAllocs pins the recycled storage: once bucket
+// arrays, the far heap and the harvest scratch have grown to the stream's
+// peak, scheduling and harvesting allocate nothing.
+func TestWheelSteadyStateAllocs(t *testing.T) {
+	if Debug {
+		t.Skip("simdebug assertions box their arguments on every harvest")
+	}
+	nop := Event(func(Cycle) {})
+	for _, tc := range []struct {
+		name  string
+		ahead Cycle
+	}{
+		{"near", 1},
+		{"far", 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWheel(64)
+			now := Cycle(0)
+			cycle := func() {
+				now++
+				for k := 0; k < 40; k++ {
+					key := ActorKey(uint32(1+k*37%600), uint32(k%3))
+					w.ScheduleKeyedID(now+tc.ahead+Cycle(k%4), key, 1, nop)
+				}
+				w.BeginCycle(now)
+			}
+			for i := 0; i < 500; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("%v allocations per scheduled-and-harvested cycle, want 0", allocs)
+			}
+		})
 	}
 }

@@ -13,7 +13,15 @@ import (
 // simulator's cycle loop would.
 func drive(w *sim.Wheel, end sim.Cycle) {
 	for c := sim.Cycle(1); c <= end; c++ {
-		w.Advance(c)
+		runCycle(w, c)
+	}
+}
+
+// runCycle harvests cycle now from w and runs its events in canonical
+// order.
+func runCycle(w *sim.Wheel, now sim.Cycle) {
+	for _, e := range w.BeginCycle(now) {
+		e.Ev(now)
 	}
 }
 
@@ -274,7 +282,7 @@ func TestSamplerBoundsFastForward(t *testing.T) {
 	}
 	// Fast-forward to the boundary and fire it, as the simulator core does.
 	w.SkipTo(next - 1)
-	w.Advance(next)
+	runCycle(w, next)
 	if r.Samples() != 2 { // baseline + boundary sample
 		t.Fatalf("samples=%d after skip to boundary", r.Samples())
 	}
