@@ -16,6 +16,8 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race ./internal/network -run Parallel -netshards 4 -count=1
+	$(GO) test -race ./internal/network -run ShardedCreditAudit -netshards 2 -count=3
 
 # CI runs the suite shuffled; reproduce an ordering failure locally with
 # `go test -shuffle=<seed> <pkg>` using the seed the failing run printed.
@@ -57,6 +59,7 @@ simdebug:
 	$(GO) build -tags simdebug ./...
 	$(GO) test -tags simdebug ./internal/sim ./internal/router ./internal/core -count=1
 	$(GO) test -tags simdebug ./internal/network -run 'Chaos|Fault|Audit|Recovery' -count=1
+	$(GO) test -tags simdebug ./internal/network -run 'Parallel|Policy|Golden' -netshards 4 -count=1
 
 ci: build shuffle lint simdebug race
 

@@ -30,6 +30,10 @@ type Network struct {
 	// ctrlChans is the channel behind each controller (same order), for
 	// the policy-level energy/trace accessors.
 	ctrlChans []*router.Channel
+	// policyTimers holds each controller's HPolicyTimer handler — its
+	// OnTimer method, nil for a policy that arms no timers — bound once so
+	// arming a hold timer allocates nothing.
+	policyTimers []sim.Event
 	// policyRec records the per-window demand/margin trace for the regret
 	// oracle, nil unless cfg.Policy.RecordTrace.
 	policyRec *policy.Recorder
@@ -221,6 +225,11 @@ func New(cfg Config, gen traffic.Generator) (*Network, error) {
 		}
 		n.controllers = append(n.controllers, pc)
 		n.ctrlChans = append(n.ctrlChans, ch)
+		var onTimer sim.Event
+		if tp, ok := pc.(policy.TimerPolicy); ok {
+			onTimer = tp.OnTimer
+		}
+		n.policyTimers = append(n.policyTimers, onTimer)
 		return nil
 	}
 
@@ -545,6 +554,18 @@ func (n *Network) sinkDeliver(out *router.Output, s *shard) router.DeliverFunc {
 	}
 }
 
+// fire runs the handler named by descriptor id. Dispatch and checkpoint
+// restore share resolveHandler, so every event fired exercises the mapping
+// a restored wheel relies on; RestoreState has already rejected any
+// descriptor that does not resolve.
+func (n *Network) fire(id uint64, now sim.Cycle) {
+	ev, ok := n.resolveHandler(id)
+	if sim.Debug {
+		sim.Assertf(ok, "network: cycle %d fired unresolvable handler %#x", now, id)
+	}
+	ev(now)
+}
+
 // Step advances the simulation by one cycle: coordinator band, parallel
 // shard windows, then the barrier drains. Every drain order is independent
 // of the shard count, so results are bit-identical for all K (DESIGN.md
@@ -560,7 +581,7 @@ func (n *Network) Step() {
 	entries := n.wheel.BeginCycle(now)
 	band := 0
 	for band < len(entries) && entries[band].Key == 0 {
-		entries[band].Ev(now)
+		n.fire(entries[band].ID, now)
 		band++
 	}
 
@@ -592,7 +613,7 @@ func (n *Network) Step() {
 	// so this assigns sequence numbers in a K-invariant per-key order.
 	for _, s := range shards {
 		for _, se := range s.staged {
-			n.wheel.ScheduleKeyedID(se.at, se.key, se.id, se.ev)
+			n.wheel.Schedule(se.at, se.key, se.id)
 		}
 		s.staged = s.staged[:0]
 	}
@@ -1040,20 +1061,9 @@ func (n *Network) Controllers() []policy.LinkPolicy { return n.controllers }
 
 // ArmPolicyTimer implements policy.TimerSink: a coordinator-band wheel
 // event that fires the controller's OnTimer hook at `at`. Being a real
-// wheel entry keeps fast-forward honest about the pending wake, and the
-// handler descriptor lets checkpoints rebuild the closure on restore.
+// wheel entry keeps fast-forward honest about the pending wake.
 func (n *Network) ArmPolicyTimer(at sim.Cycle, ordinal int) {
-	n.wheel.ScheduleID(at, sim.HandlerID(sim.HPolicyTimer, uint32(ordinal), 0), n.policyTimerEvt(ordinal))
-}
-
-// policyTimerEvt builds the wheel closure behind an HPolicyTimer
-// descriptor (also used by snapshot restore).
-func (n *Network) policyTimerEvt(ordinal int) sim.Event {
-	return func(now sim.Cycle) {
-		if tp, ok := n.controllers[ordinal].(policy.TimerPolicy); ok {
-			tp.OnTimer(now)
-		}
-	}
+	n.wheel.Schedule(at, 0, sim.HandlerID(sim.HPolicyTimer, uint32(ordinal), 0))
 }
 
 // maxSafeLevel returns the highest electrical level whose margin-projected

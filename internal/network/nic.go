@@ -152,7 +152,7 @@ func (nc *NIC) tryInject(now sim.Cycle) bool {
 			if at <= now {
 				at = now + 1
 			}
-			nc.sh.Schedule(at, nc.selfKey, sim.HandlerID(sim.HNICWake, uint32(nc.node), 0), nc.wakeEvt)
+			nc.sh.Schedule(at, nc.selfKey, sim.HandlerID(sim.HNICWake, uint32(nc.node), 0))
 		}
 		return false
 	}

@@ -99,6 +99,9 @@ type recovery struct {
 
 	scanArmed bool
 	scanEvt   sim.Event
+	// refreshEvt[r][dir] is the HRecRefresh handler of the mesh link
+	// leaving router r in direction dir, nil where no link is wired.
+	refreshEvt [][4]sim.Event
 
 	// wdReroutes/wdDrops are coordinator-only (the scan is a key-0 wheel
 	// event). Route-time reroute/misroute counts live on the shards.
@@ -119,9 +122,13 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 		live:      make([][4]bool, R),
 		reach:     make([]bool, R*R),
 	}
+	rec.refreshEvt = make([][4]sim.Event, R)
 	for r := 0; r < R; r++ {
 		for dir := 0; dir < 4; dir++ {
 			rec.live[r][dir] = n.meshOut[r][dir] != nil
+			if rec.live[r][dir] {
+				rec.refreshEvt[r][dir] = func(at sim.Cycle) { rec.refresh(at, r, dir) }
+			}
 		}
 	}
 	rec.scanEvt = func(now sim.Cycle) { rec.scan(now) }
@@ -138,8 +145,8 @@ func newRecovery(n *Network, cfg RecoveryConfig) *recovery {
 		}
 		ref := n.meshRef[w.Link]
 		id := sim.HandlerID(sim.HRecRefresh, uint32(ref.r), uint16(ref.dir))
-		n.wheel.ScheduleID(w.At, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
-		n.wheel.ScheduleID(w.RepairAt, id, func(at sim.Cycle) { rec.refresh(at, ref.r, ref.dir) })
+		n.wheel.Schedule(w.At, 0, id)
+		n.wheel.Schedule(w.RepairAt, 0, id)
 	}
 	return rec
 }
@@ -160,8 +167,7 @@ func (rec *recovery) refresh(now sim.Cycle, r, dir int) {
 		if until <= now {
 			until = now + 1
 		}
-		rec.n.wheel.ScheduleID(until, sim.HandlerID(sim.HRecRefresh, uint32(r), uint16(dir)),
-			func(at sim.Cycle) { rec.refresh(at, r, dir) })
+		rec.n.wheel.Schedule(until, 0, sim.HandlerID(sim.HRecRefresh, uint32(r), uint16(dir)))
 	}
 }
 
@@ -194,9 +200,8 @@ func (rec *recovery) recompute() {
 		base := src * R
 		rec.reach[base+src] = true
 		q := append(rec.bfsQueue[:0], src)
-		for len(q) > 0 {
-			r := q[0]
-			q = q[1:]
+		for head := 0; head < len(q); head++ {
+			r := q[head]
 			for dir := 0; dir < 4; dir++ {
 				if !rec.live[r][dir] {
 					continue
@@ -226,7 +231,7 @@ func (rec *recovery) armScan(now sim.Cycle) {
 		return
 	}
 	rec.scanArmed = true
-	rec.n.wheel.ScheduleID(now+rec.cfg.ScanEvery, sim.HandlerID(sim.HRecScan, 0, 0), rec.scanEvt)
+	rec.n.wheel.Schedule(now+rec.cfg.ScanEvery, 0, sim.HandlerID(sim.HRecScan, 0, 0))
 }
 
 // scan is the stall watchdog: every input VC whose head-of-line flit has

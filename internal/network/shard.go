@@ -27,7 +27,6 @@ type stagedEv struct {
 	at  sim.Cycle
 	key uint64
 	id  uint64
-	ev  sim.Event
 }
 
 // downNote records a watchdog escalation: link li is down until `until`.
@@ -107,7 +106,7 @@ type shard struct {
 }
 
 // Schedule implements router.Sched: stage the request for the barrier.
-func (s *shard) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
+func (s *shard) Schedule(at sim.Cycle, key, id uint64) {
 	if sim.Debug {
 		sim.Assertf(key != 0, "shard %d: scheduling into the coordinator band (key 0)", s.idx)
 		// Determinism requires each ordering key to be *produced* by exactly
@@ -128,7 +127,7 @@ func (s *shard) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
 				"shard %d: scheduling key %#x produced by shard %d", s.idx, key, s.n.shardOfActor(src))
 		}
 	}
-	s.staged = append(s.staged, stagedEv{at: at, key: key, id: id, ev: ev})
+	s.staged = append(s.staged, stagedEv{at: at, key: key, id: id})
 }
 
 // ActivateOutput implements router.Scheduler.
@@ -160,8 +159,8 @@ func (s *shard) runCycle(now sim.Cycle) {
 
 	// 1. Timed events: flit deliveries, credit returns, pipeline
 	//    eligibility, channel/NIC wake-ups.
-	for i := range s.entries {
-		s.entries[i].Ev(now)
+	for _, e := range s.entries {
+		n.fire(e.ID, now)
 	}
 	s.entries = nil
 

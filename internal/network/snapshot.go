@@ -252,13 +252,9 @@ func (n *Network) ExportState() (*State, error) {
 		st.Telemetry = &ts
 	}
 
-	ws, err := n.wheel.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	st.Wheel = ws
-	if ws.Now != n.now-1 {
-		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", ws.Now, n.now)
+	st.Wheel = n.wheel.ExportState()
+	if st.Wheel.Now != n.now-1 {
+		return nil, fmt.Errorf("network: wheel clock %d out of phase with network cycle %d — checkpoint must run at a step boundary", st.Wheel.Now, n.now)
 	}
 
 	ids := make([]int64, 0, len(table))
@@ -272,8 +268,10 @@ func (n *Network) ExportState() (*State, error) {
 	return st, nil
 }
 
-// resolveHandler maps a checkpoint handler descriptor back to the event
-// closure it names, dispatching on the descriptor's kind (see sim.HandlerID).
+// resolveHandler maps a handler descriptor to the event closure it names,
+// dispatching on the descriptor's kind (see sim.HandlerID). It is the one
+// table behind both Step's dispatch (fire) and the wheel restore, which
+// rejects every descriptor it does not resolve.
 func (n *Network) resolveHandler(id uint64) (sim.Event, bool) {
 	obj := int(sim.HandlerObj(id))
 	switch sim.HandlerKind(id) {
@@ -292,11 +290,8 @@ func (n *Network) resolveHandler(id uint64) (sim.Event, bool) {
 	case sim.HRecRefresh:
 		if rec := n.rec; rec != nil && obj < len(n.meshOut) {
 			r, dir := obj, int(sim.HandlerParam(id))
-			if dir < 4 && n.meshOut[r][dir] != nil {
-				// Refresh events are synthesized fresh: the closure is a pure
-				// function of (router, direction), so a new one is
-				// behaviourally identical to the one that was scheduled.
-				return func(at sim.Cycle) { rec.refresh(at, r, dir) }, true
+			if dir < 4 && rec.refreshEvt[r][dir] != nil {
+				return rec.refreshEvt[r][dir], true
 			}
 		}
 	case sim.HRecScan:
@@ -308,8 +303,8 @@ func (n *Network) resolveHandler(id uint64) (sim.Event, bool) {
 			return n.telem.ResolveHandler(id)
 		}
 	case sim.HPolicyTimer:
-		if obj < len(n.controllers) {
-			return n.policyTimerEvt(obj), true
+		if obj < len(n.policyTimers) && n.policyTimers[obj] != nil {
+			return n.policyTimers[obj], true
 		}
 	}
 	return nil, false

@@ -30,12 +30,12 @@ func BenchmarkBufferPushPop(b *testing.B) {
 
 func BenchmarkChannelSend(b *testing.B) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(mustLink(), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(mustLink(), w, func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 1 << 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		runCycle(w, now)
+		runCycle(w, now, ch.ResolveHandler)
 		ch.Send(now, FlitRef{Pkt: p, Seq: int32(i)})
 	}
 }
@@ -43,21 +43,21 @@ func BenchmarkChannelSend(b *testing.B) {
 // BenchmarkGrantPath measures the full grant pipeline: register, arbitrate,
 // send, credit return, through a single router output under load.
 func BenchmarkGrantPath(b *testing.B) {
-	h := newBenchHarness()
-	r := New(Config{ID: 0, Ports: 2, VCs: 2, BufDepth: 16, Route: func(int, *Packet, int) (int, uint32) { return 1, ^uint32(0) }}, h)
+	h := newHarness()
+	r := h.newRouter(Config{ID: 0, Ports: 2, VCs: 2, BufDepth: 16, Route: func(int, *Packet, int) (int, uint32) { return 1, ^uint32(0) }})
 	out := r.Output(1)
-	ch := NewChannel(mustLink(), OnWheel(h.wheel), func(now sim.Cycle, f FlitRef) {
+	ch := h.channel(mustLink(), func(now sim.Cycle, f FlitRef) {
 		out.ReturnCredit(now, int(f.VC))
 	})
 	r.ConnectOutput(1, ch)
-	r.ConnectOutput(0, NewChannel(mustLink(), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(0, h.channel(mustLink(), func(sim.Cycle, FlitRef) {}))
 	accept := r.AcceptFlit(0)
 	p := &Packet{Len: 1 << 30, Dst: 1}
 	var seq int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Cycle(i)
-		runCycle(h.wheel, now)
+		runCycle(h.wheel, now, h.resolve)
 		if i%8 != 7 { // keep the buffer fed but bounded
 			accept(now, FlitRef{Pkt: p, Seq: seq, VC: 0})
 			seq++
@@ -71,20 +71,3 @@ func BenchmarkGrantPath(b *testing.B) {
 		}
 	}
 }
-
-type benchHarness struct {
-	wheel  *sim.Wheel
-	active []*Output
-}
-
-func (h *benchHarness) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	h.wheel.ScheduleKeyedID(at, key, id, ev)
-}
-func (h *benchHarness) ActivateOutput(o *Output) {
-	if !o.Active() {
-		o.SetActive(true)
-		h.active = append(h.active, o)
-	}
-}
-
-func newBenchHarness() *benchHarness { return &benchHarness{wheel: sim.NewWheel(1024)} }

@@ -165,8 +165,8 @@ type Channel struct {
 }
 
 // NewChannel wires a channel to its power-aware link, an event scheduler
-// (the owning shard, or OnWheel for standalone use), and the downstream
-// delivery function.
+// (the owning shard, or a bare wheel for standalone use), and the
+// downstream delivery function.
 func NewChannel(pl *powerlink.Link, sched Sched, deliver DeliverFunc) *Channel {
 	c := &Channel{plink: pl, sched: sched, deliver: deliver, pending: shardrun.NewRing[txFlit](4)}
 	c.deliverEvt = func(now sim.Cycle) {
@@ -193,8 +193,8 @@ func (c *Channel) SetLink(li int) { c.link = uint32(li) }
 
 func (c *Channel) hid(kind uint8) uint64 { return sim.HandlerID(kind, c.link, 0) }
 
-// ResolveHandler maps a checkpoint handler descriptor owned by this channel
-// back to its event closure (see sim.HandlerID).
+// ResolveHandler maps a handler descriptor owned by this channel back to its
+// event closure (see sim.HandlerID), for both dispatch and restore.
 func (c *Channel) ResolveHandler(id uint64) (sim.Event, bool) {
 	switch sim.HandlerKind(id) {
 	case sim.HChanDeliver:
@@ -401,7 +401,7 @@ func (c *Channel) transmit(now sim.Cycle, tf txFlit) sim.Cycle {
 	if c.rel != nil {
 		key = c.selfKey
 	}
-	c.sched.Schedule(arrival, key, c.hid(sim.HChanDeliver), c.deliverEvt)
+	c.sched.Schedule(arrival, key, c.hid(sim.HChanDeliver))
 	return arrival
 }
 
@@ -435,13 +435,13 @@ func (c *Channel) relArrival(now sim.Cycle, tf txFlit) {
 		}
 		r.rxExpect++
 		r.rx.Push(tf.f)
-		c.sched.Schedule(now+1, c.deliverKey, c.hid(sim.HChanAccept), r.acceptEvt)
+		c.sched.Schedule(now+1, c.deliverKey, c.hid(sim.HChanAccept))
 	}
 	// Every arrival (even a drop) is worth reporting: the cumulative ack
 	// releases sender window space, and wantReplay rides along.
 	if !r.fbArmed {
 		r.fbArmed = true
-		c.sched.Schedule(now+r.cfg.AckDelay, c.selfKey, c.hid(sim.HChanFeedback), r.fbEvt)
+		c.sched.Schedule(now+r.cfg.AckDelay, c.selfKey, c.hid(sim.HChanFeedback))
 	}
 }
 
@@ -545,7 +545,7 @@ func (c *Channel) armPump(at sim.Cycle) {
 		return
 	}
 	r.pumpArmed = true
-	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanPump), r.pumpEvt)
+	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanPump))
 }
 
 func (c *Channel) armWatchdog(at sim.Cycle) {
@@ -554,7 +554,7 @@ func (c *Channel) armWatchdog(at sim.Cycle) {
 		return
 	}
 	r.wdArmed = true
-	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanWatchdog), r.wdEvt)
+	c.sched.Schedule(at, c.selfKey, c.hid(sim.HChanWatchdog))
 }
 
 // OutstandingFlits returns the number of flits granted onto this channel

@@ -33,12 +33,12 @@ func (c *capture) deliver(now sim.Cycle, f FlitRef) {
 func TestChannelFullRateBackToBack(t *testing.T) {
 	w := sim.NewWheel(64)
 	cap := &capture{}
-	ch := NewChannel(testLink(t, []float64{10}), OnWheel(w), cap.deliver)
+	ch := NewChannel(testLink(t, []float64{10}), w, cap.deliver)
 	p := &Packet{Len: 4}
 	now := sim.Cycle(0)
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 10; cycle++ {
-		runCycle(w, cycle)
+		runCycle(w, cycle, ch.ResolveHandler)
 		if sent < 4 && ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -61,11 +61,11 @@ func TestChannelFullRateBackToBack(t *testing.T) {
 func TestChannelHalfRateTakesTwoCycles(t *testing.T) {
 	w := sim.NewWheel(64)
 	cap := &capture{}
-	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), cap.deliver)
+	ch := NewChannel(testLink(t, []float64{5}), w, cap.deliver)
 	p := &Packet{Len: 3}
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 10; cycle++ {
-		runCycle(w, cycle)
+		runCycle(w, cycle, ch.ResolveHandler)
 		if sent < 3 && ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -88,11 +88,11 @@ func TestChannelHalfRateTakesTwoCycles(t *testing.T) {
 func TestChannelFractionalRateAverages(t *testing.T) {
 	w := sim.NewWheel(64)
 	cap := &capture{}
-	ch := NewChannel(testLink(t, []float64{6}), OnWheel(w), cap.deliver)
+	ch := NewChannel(testLink(t, []float64{6}), w, cap.deliver)
 	p := &Packet{Len: 1000}
 	sent := 0
 	for cycle := sim.Cycle(0); cycle < 30; cycle++ {
-		runCycle(w, cycle)
+		runCycle(w, cycle, ch.ResolveHandler)
 		if ch.Usable(cycle) {
 			ch.Send(cycle, FlitRef{Pkt: p, Seq: int32(sent)})
 			sent++
@@ -105,9 +105,9 @@ func TestChannelFractionalRateAverages(t *testing.T) {
 
 func TestChannelBusyCycles(t *testing.T) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(testLink(t, []float64{5}), w, func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 10}
-	runCycle(w, 0)
+	runCycle(w, 0, ch.ResolveHandler)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	if got := ch.BusyCycles(); math.Abs(got-2.0) > 1e-9 {
 		t.Errorf("busy cycles after one 5 Gb/s flit = %g, want 2", got)
@@ -119,9 +119,9 @@ func TestChannelBusyCycles(t *testing.T) {
 
 func TestChannelSendWhileBusyPanics(t *testing.T) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(testLink(t, []float64{5}), w, func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 2}
-	runCycle(w, 0)
+	runCycle(w, 0, ch.ResolveHandler)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	defer func() {
 		if recover() == nil {
@@ -134,7 +134,7 @@ func TestChannelSendWhileBusyPanics(t *testing.T) {
 func TestChannelDisabledDuringTransition(t *testing.T) {
 	w := sim.NewWheel(64)
 	link := testLink(t, []float64{5, 10})
-	ch := NewChannel(link, OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(link, w, func(sim.Cycle, FlitRef) {})
 	link.RequestStep(0, -1) // frequency switch: disabled for Tbr=20
 	if ch.Usable(5) {
 		t.Error("channel usable during frequency switch")
@@ -149,9 +149,9 @@ func TestChannelDisabledDuringTransition(t *testing.T) {
 
 func TestChannelNextUsableAfterSerialisation(t *testing.T) {
 	w := sim.NewWheel(64)
-	ch := NewChannel(testLink(t, []float64{5}), OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(testLink(t, []float64{5}), w, func(sim.Cycle, FlitRef) {})
 	p := &Packet{Len: 2}
-	runCycle(w, 0)
+	runCycle(w, 0, ch.ResolveHandler)
 	ch.Send(0, FlitRef{Pkt: p, Seq: 0})
 	if at := ch.NextUsableAt(1); at != 2 {
 		t.Errorf("NextUsableAt mid-serialisation = %d, want 2", at)
@@ -171,7 +171,7 @@ func TestChannelWakesOffLink(t *testing.T) {
 		OffEnabled:    true,
 		OffWakeCycles: 100,
 	})
-	ch := NewChannel(link, OnWheel(w), func(sim.Cycle, FlitRef) {})
+	ch := NewChannel(link, w, func(sim.Cycle, FlitRef) {})
 	var now sim.Cycle
 	for link.Level(now) > 0 {
 		link.RequestStep(now, -1)

@@ -19,15 +19,15 @@ func AllVCs(n int) uint32 { return uint32(1)<<uint(n) - 1 }
 
 // Sched is the event-scheduling half of the surrounding simulation. Under
 // sharding this is the router's owning shard, which stages the request and
-// forwards it to the global wheel at the cycle barrier; standalone users
-// adapt a wheel directly via OnWheel. The key orders same-cycle events
-// canonically (see sim.ActorKey); key 0 is the sequential coordinator band.
+// forwards it to the global wheel at the cycle barrier; a bare *sim.Wheel
+// satisfies it for standalone routers and channels. The key orders
+// same-cycle events canonically (see sim.ActorKey); key 0 is the sequential
+// coordinator band.
 type Sched interface {
-	// Schedule registers ev to fire at cycle at. id is the checkpoint
-	// handler descriptor (sim.HandlerID) naming the handler behind ev so a
-	// snapshot of the wheel can be resolved back to closures on restore; 0
-	// marks the entry as not snapshotable.
-	Schedule(at sim.Cycle, key, id uint64, ev sim.Event)
+	// Schedule registers the handler named by descriptor id (sim.HandlerID)
+	// to fire at cycle at. Whoever drains the wheel resolves id back to the
+	// handler — through ResolveHandler for this package's handlers.
+	Schedule(at sim.Cycle, key, id uint64)
 }
 
 // Scheduler is the part of the surrounding network the router talks to:
@@ -37,16 +37,6 @@ type Scheduler interface {
 	// ActivateOutput queues o for grant processing; idempotent while the
 	// output is already active.
 	ActivateOutput(o *Output)
-}
-
-// OnWheel adapts a bare wheel into a Sched — for standalone routers and
-// channels outside a sharded network (unit tests, micro-benchmarks).
-func OnWheel(w *sim.Wheel) Sched { return wheelSched{w} }
-
-type wheelSched struct{ w *sim.Wheel }
-
-func (ws wheelSched) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	ws.w.ScheduleKeyedID(at, key, id, ev)
 }
 
 // CreditSink receives returned credits for a virtual channel: the upstream
@@ -218,8 +208,8 @@ func (r *Router) creditID(ivc int) uint64 {
 	return sim.HandlerID(sim.HRouterCredit, uint32(r.id), uint16(ivc))
 }
 
-// ResolveHandler maps a checkpoint handler descriptor owned by this router
-// back to its event closure (see sim.HandlerID).
+// ResolveHandler maps a handler descriptor owned by this router back to its
+// event closure (see sim.HandlerID), for both dispatch and restore.
 func (r *Router) ResolveHandler(id uint64) (sim.Event, bool) {
 	param := int(sim.HandlerParam(id))
 	switch sim.HandlerKind(id) {
@@ -313,7 +303,7 @@ func (r *Router) register(now sim.Cycle, ivc int) {
 		f = in.buf.Front()
 	}
 	if f.ReadyAt > now {
-		r.sched.Schedule(f.ReadyAt, r.selfKey, r.holID(ivc), in.holEvt)
+		r.sched.Schedule(f.ReadyAt, r.selfKey, r.holID(ivc))
 		return
 	}
 	if f.IsHead() && in.route < 0 {
@@ -350,7 +340,7 @@ func (r *Router) discardKilled(now sim.Cycle, ivc int) {
 		in.progressAt = now
 		r.flitsDiscarded++
 		if in.upstream != nil {
-			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
+			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc))
 		}
 		if f.IsTail() && in.curPkt == p {
 			if in.outVC >= 0 {
@@ -544,7 +534,7 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			if at <= now {
 				at = now + 1
 			}
-			r.sched.Schedule(at, r.selfKey, sim.HandlerID(sim.HRouterWake, uint32(r.id), uint16(o.port)), o.wakeEvt)
+			r.sched.Schedule(at, r.selfKey, sim.HandlerID(sim.HRouterWake, uint32(r.id), uint16(o.port)))
 		}
 		return false
 	}
@@ -602,7 +592,7 @@ func (o *Output) TryGrant(now sim.Cycle) bool {
 			r.escGrants++
 		}
 		if in.upstream != nil {
-			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc), in.creditEvt)
+			r.sched.Schedule(now+CreditDelay, in.creditKey, r.creditID(ivc))
 		}
 		f.VC = int8(v)
 		o.ch.Send(now, f)

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/linkmodel"
@@ -9,16 +10,26 @@ import (
 )
 
 // harness is a minimal Scheduler: it runs one router in isolation with
-// channels that deliver into capture buffers.
+// channels that deliver into capture buffers. Its resolve is the handler
+// table the network would provide: router kinds go to the router, channel
+// kinds to the channel with that link index, and hTest to closures the
+// test scheduled itself.
 type harness struct {
 	wheel  *sim.Wheel
 	active []*Output
 	now    sim.Cycle
+
+	router *Router
+	chans  []*Channel
+	evs    []sim.Event
 }
 
-func (h *harness) Schedule(at sim.Cycle, key, id uint64, ev sim.Event) {
-	h.wheel.ScheduleKeyedID(at, key, id, ev)
-}
+// hTest is a handler kind outside sim's namespace for the harness's own
+// events; obj indexes harness.evs.
+const hTest uint8 = 0xff
+
+func (h *harness) Schedule(at sim.Cycle, key, id uint64) { h.wheel.Schedule(at, key, id) }
+
 func (h *harness) ActivateOutput(o *Output) {
 	if !o.Active() {
 		o.SetActive(true)
@@ -26,16 +37,51 @@ func (h *harness) ActivateOutput(o *Output) {
 	}
 }
 
-// runCycle harvests cycle now from w and runs its events in canonical
-// order, as the network's Step does.
-func runCycle(w *sim.Wheel, now sim.Cycle) {
+// newRouter builds the harness's router.
+func (h *harness) newRouter(cfg Config) *Router {
+	h.router = New(cfg, h)
+	return h.router
+}
+
+// channel builds a channel scheduling on h under the next link index.
+func (h *harness) channel(pl *powerlink.Link, deliver DeliverFunc) *Channel {
+	ch := NewChannel(pl, h, deliver)
+	ch.SetLink(len(h.chans))
+	h.chans = append(h.chans, ch)
+	return ch
+}
+
+// at schedules ev at cycle at in the coordinator band.
+func (h *harness) at(at sim.Cycle, ev sim.Event) {
+	h.evs = append(h.evs, ev)
+	h.wheel.Schedule(at, 0, sim.HandlerID(hTest, uint32(len(h.evs)-1), 0))
+}
+
+func (h *harness) resolve(id uint64) (sim.Event, bool) {
+	obj := int(sim.HandlerObj(id))
+	switch sim.HandlerKind(id) {
+	case hTest:
+		return h.evs[obj], true
+	case sim.HRouterHOL, sim.HRouterCredit, sim.HRouterWake:
+		return h.router.ResolveHandler(id)
+	}
+	return h.chans[obj].ResolveHandler(id)
+}
+
+// runCycle harvests cycle now from w and runs each entry's handler through
+// resolve, as the network's Step does with its handler table.
+func runCycle(w *sim.Wheel, now sim.Cycle, resolve func(uint64) (sim.Event, bool)) {
 	for _, e := range w.BeginCycle(now) {
-		e.Ev(now)
+		ev, ok := resolve(e.ID)
+		if !ok {
+			panic(fmt.Sprintf("cycle %d: unresolvable handler %#x", now, e.ID))
+		}
+		ev(now)
 	}
 }
 
 func (h *harness) step() {
-	runCycle(h.wheel, h.now)
+	runCycle(h.wheel, h.now, h.resolve)
 	outs := h.active
 	h.active = nil
 	for _, o := range outs {
@@ -84,13 +130,13 @@ func (l *flitLog) deliver(now sim.Cycle, f FlitRef) {
 // network's ejection sinks); returns the router and the logs.
 func buildRouter(t *testing.T, h *harness, ports, vcs, depth int) (*Router, []*flitLog) {
 	t.Helper()
-	r := New(Config{ID: 0, Ports: ports, VCs: vcs, BufDepth: depth, Route: fixedRoute}, h)
+	r := h.newRouter(Config{ID: 0, Ports: ports, VCs: vcs, BufDepth: depth, Route: fixedRoute})
 	logs := make([]*flitLog, ports)
 	for p := 0; p < ports; p++ {
 		log := &flitLog{}
 		logs[p] = log
 		out := r.Output(p)
-		ch := NewChannel(fullRateLink(t), OnWheel(h.wheel), func(now sim.Cycle, f FlitRef) {
+		ch := h.channel(fullRateLink(t), func(now sim.Cycle, f FlitRef) {
 			log.deliver(now, f)
 			out.ReturnCredit(now, int(f.VC))
 		})
@@ -109,7 +155,7 @@ func injectSeq(h *harness, r *Router, p, v int, pkt *Packet, start sim.Cycle) {
 	accept := r.AcceptFlit(p)
 	for seq := 0; seq < pkt.Len; seq++ {
 		s := int32(seq)
-		h.wheel.Schedule(start+sim.Cycle(seq), func(now sim.Cycle) {
+		h.at(start+sim.Cycle(seq), func(now sim.Cycle) {
 			accept(now, FlitRef{Pkt: pkt, Seq: s, VC: int8(v)})
 		})
 	}
@@ -211,11 +257,11 @@ func TestRouterTwoVCsBothClaimed(t *testing.T) {
 // credits come back.
 func TestRouterCreditStall(t *testing.T) {
 	h := newHarness()
-	r := New(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 8, Route: fixedRoute}, h)
+	r := h.newRouter(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 8, Route: fixedRoute})
 	log := &flitLog{}
-	ch := NewChannel(fullRateLink(t), OnWheel(h.wheel), log.deliver)
+	ch := h.channel(fullRateLink(t), log.deliver)
 	r.ConnectOutput(1, ch)
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(0, h.channel(fullRateLink(t), func(sim.Cycle, FlitRef) {}))
 
 	// 12-flit packet, downstream never returns credits: exactly BufDepth
 	// flits may be granted; the rest wait in the 8-deep input buffer.
@@ -312,10 +358,10 @@ func TestRouterBadConfigPanics(t *testing.T) {
 
 func TestRouterInvalidRoutePanics(t *testing.T) {
 	h := newHarness()
-	r := New(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 4,
-		Route: func(int, *Packet, int) (int, uint32) { return 99, ^uint32(0) }}, h)
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
-	r.ConnectOutput(1, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r := h.newRouter(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 4,
+		Route: func(int, *Packet, int) (int, uint32) { return 99, ^uint32(0) }})
+	r.ConnectOutput(0, h.channel(fullRateLink(t), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(1, h.channel(fullRateLink(t), func(sim.Cycle, FlitRef) {}))
 	pkt := mkPacket(1, 0, 1)
 	defer func() {
 		if recover() == nil {
@@ -355,15 +401,15 @@ func (c creditRecorder) ReturnCredit(now sim.Cycle, vc int) {
 // one flit every 2 cycles.
 func TestRouterSlowLink(t *testing.T) {
 	h := newHarness()
-	r := New(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 16, Route: fixedRoute}, h)
+	r := h.newRouter(Config{ID: 0, Ports: 2, VCs: 1, BufDepth: 16, Route: fixedRoute})
 	slow := powerlink.MustNew(powerlink.Config{
 		Scheme:     linkmodel.SchemeVCSEL,
 		Params:     linkmodel.DefaultParams(),
 		LevelRates: []float64{5},
 	})
 	log := &flitLog{}
-	r.ConnectOutput(1, NewChannel(slow, OnWheel(h.wheel), log.deliver))
-	r.ConnectOutput(0, NewChannel(fullRateLink(t), OnWheel(h.wheel), func(sim.Cycle, FlitRef) {}))
+	r.ConnectOutput(1, h.channel(slow, log.deliver))
+	r.ConnectOutput(0, h.channel(fullRateLink(t), func(sim.Cycle, FlitRef) {}))
 	pkt := mkPacket(1, 1, 6)
 	injectSeq(h, r, 0, 0, pkt, 1)
 	h.run(60)

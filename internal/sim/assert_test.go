@@ -20,20 +20,20 @@ func mustPanic(t *testing.T, f func()) {
 
 func TestSkipToOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, func(Cycle) {})
+	w.Schedule(5, 0, 1)
 	mustPanic(t, func() { w.SkipTo(10) })
 }
 
 func TestSkipToUpToEventIsLegal(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(5, func(Cycle) {})
+	w.Schedule(5, 0, 1)
 	w.SkipTo(4) // the event is still in the future; no panic
 	w.BeginCycle(5)
 }
 
 func TestBeginCycleOverEventPanics(t *testing.T) {
 	w := NewWheel(64)
-	w.Schedule(3, func(Cycle) {})
+	w.Schedule(3, 0, 1)
 	mustPanic(t, func() { w.BeginCycle(7) })
 }
 
@@ -47,9 +47,8 @@ func TestBeginCycleBackwardsPanics(t *testing.T) {
 // harvest relies on — a bucket in Seq order — and expects the assertion.
 func TestBeginCycleSeqOrderPanics(t *testing.T) {
 	w := NewWheel(64)
-	nop := func(Cycle) {}
-	w.ScheduleKeyed(5, 1, nop)
-	w.ScheduleKeyed(5, 2, nop)
+	w.Schedule(5, 1, 1)
+	w.Schedule(5, 2, 1)
 	b := w.buckets[5]
 	b[0], b[1] = b[1], b[0]
 	mustPanic(t, func() { w.BeginCycle(5) })

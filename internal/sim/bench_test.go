@@ -33,14 +33,13 @@ func harvestKeys(n int, lo, span uint32) []uint64 {
 // the network's Step, minus running the events.
 func benchHarvest(b *testing.B, keys []uint64, perCycle func(i int) int) {
 	w := NewWheel(4096)
-	nop := Event(func(Cycle) {})
 	k := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := Cycle(i)
 		for j := perCycle(i); j > 0; j-- {
-			w.ScheduleKeyedID(now+1+Cycle(k&3), keys[k], 1, nop)
+			w.Schedule(now+1+Cycle(k&3), keys[k], 1)
 			k++
 			if k == len(keys) {
 				k = 0
@@ -70,7 +69,7 @@ func BenchmarkWheelHarvestSparse(b *testing.B) {
 func BenchmarkWheelHarvestIdle(b *testing.B) {
 	w := NewWheel(4096)
 	// One far event beyond the horizon keeps the far-heap peek honest.
-	w.Schedule(Cycle(b.N)+10_000, func(Cycle) {})
+	w.Schedule(Cycle(b.N)+10_000, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.BeginCycle(Cycle(i))
@@ -80,7 +79,7 @@ func BenchmarkWheelHarvestIdle(b *testing.B) {
 // BenchmarkWheelNextEventAt measures the bitmap scan on a sparse wheel.
 func BenchmarkWheelNextEventAt(b *testing.B) {
 	w := NewWheel(4096)
-	w.Schedule(4000, func(Cycle) {}) // near the end of the scan
+	w.Schedule(4000, 0, 1) // near the end of the scan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := w.NextEventAt(); !ok {
@@ -91,11 +90,10 @@ func BenchmarkWheelNextEventAt(b *testing.B) {
 
 func BenchmarkWheelFarEvents(b *testing.B) {
 	w := NewWheel(64)
-	nop := Event(func(Cycle) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now := Cycle(i)
-		w.Schedule(now+10_000, nop) // always beyond the horizon
+		w.Schedule(now+10_000, 0, 1) // always beyond the horizon
 		w.BeginCycle(now)
 	}
 }

@@ -1,17 +1,17 @@
 package sim
 
-// Checkpoint handler descriptors. Wheel entries hold closures, which cannot
-// be serialized; instead every event the network engine schedules carries a
-// 64-bit descriptor naming the handler behind the closure:
+// Handler descriptors. A wheel entry names the handler it runs by a 64-bit
+// descriptor rather than holding a closure:
 //
 //	kind(8 bits) << 56 | obj(32 bits) << 16 | param(16 bits)
 //
 // obj identifies the owning object (router id, global link index, node,
-// telemetry registration ordinal) and param a sub-resource (input-VC index,
-// output port, mesh direction). On restore the network resolves each
-// descriptor back to the equivalent closure on the rebuilt object graph.
-// Descriptor 0 is reserved for "not snapshotable" (legacy schedule paths);
-// a wheel holding such entries refuses to export.
+// telemetry registration ordinal, controller ordinal) and param a
+// sub-resource (input-VC index, output port, mesh direction). The network
+// resolves a descriptor to its handler through one table, both when an
+// entry fires and when a checkpoint is restored, so entries are plain data
+// and a restored wheel runs exactly what the original would have. Kind 0 is
+// not a handler: no descriptor built from the constants below is 0.
 
 // Handler kinds. The namespace is flat across subsystems so one wheel's
 // entries are unambiguous.

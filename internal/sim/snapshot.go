@@ -1,14 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
 
 // WheelEntryState is one scheduled event in exportable form: its absolute
-// fire cycle and its full ordering coordinates. The closure itself is
-// replaced by the handler descriptor ID, which a restore resolves back to
-// the rebuilt closure via the caller-supplied resolver.
+// fire cycle and the entry's ordering coordinates and handler descriptor.
 type WheelEntryState struct {
 	At  Cycle
 	Key uint64
@@ -23,42 +22,27 @@ type WheelState struct {
 	Entries []WheelEntryState
 }
 
-// ExportState captures every pending event with its absolute cycle and
-// ordering coordinates, sorted by insertion sequence (a canonical total
-// order: sequence numbers are globally unique). It fails if any entry
-// carries handler ID 0, i.e. was scheduled through a legacy path that a
-// checkpoint cannot reconstruct.
-func (w *Wheel) ExportState() (WheelState, error) {
+// ExportState captures every pending event with its absolute cycle,
+// ordering coordinates and handler descriptor, sorted by insertion sequence
+// (a canonical total order: sequence numbers are globally unique).
+func (w *Wheel) ExportState() WheelState {
 	st := WheelState{Now: w.now, Seq: w.seq}
 	st.Entries = make([]WheelEntryState, 0, w.pending)
-	var err error
 	w.Each(func(at Cycle, e Entry) {
-		if e.ID == 0 && err == nil {
-			err = fmt.Errorf("sim: wheel entry key=%#x seq=%d at=%d has no handler id; not snapshotable", e.Key, e.Seq, at)
-		}
 		st.Entries = append(st.Entries, WheelEntryState{At: at, Key: e.Key, Seq: e.Seq, ID: e.ID})
 	})
-	if err != nil {
-		return WheelState{}, err
-	}
-	slices.SortFunc(st.Entries, func(a, b WheelEntryState) int {
-		if a.Seq < b.Seq {
-			return -1
-		}
-		if a.Seq > b.Seq {
-			return 1
-		}
-		return 0
-	})
-	return st, nil
+	slices.SortFunc(st.Entries, func(a, b WheelEntryState) int { return cmp.Compare(a.Seq, b.Seq) })
+	return st
 }
 
 // RestoreState wipes the wheel and reloads it from an exported state,
 // preserving every entry's At/Key/Seq/ID verbatim so the canonical
 // (Key, Seq) execution order after restore matches the original run
-// exactly. resolve maps a handler descriptor back to the (rebuilt) event
-// closure; an unresolvable ID is an error, as is an entry at or before the
-// restored clock (a restored wheel must be strictly monotonic).
+// exactly. resolve is the caller's dispatch table — the function that maps
+// a harvested entry's descriptor to its handler — and every entry must
+// resolve: a descriptor accepted here would otherwise fail only when it
+// fires. An entry at or before the restored clock is an error too (a
+// restored wheel must be strictly monotonic).
 func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool)) error {
 	for idx, b := range w.buckets {
 		if b != nil {
@@ -87,11 +71,10 @@ func (w *Wheel) RestoreState(st WheelState, resolve func(id uint64) (Event, bool
 			return fmt.Errorf("sim: restored wheel entry seq %d does not follow seq %d", e.Seq, prev)
 		}
 		prev = e.Seq
-		ev, ok := resolve(e.ID)
-		if !ok || ev == nil {
+		if ev, ok := resolve(e.ID); !ok || ev == nil {
 			return fmt.Errorf("sim: no handler for wheel entry id %#x (at=%d key=%#x)", e.ID, e.At, e.Key)
 		}
-		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, ID: e.ID, Ev: ev})
+		w.insert(e.At, Entry{Key: e.Key, Seq: e.Seq, ID: e.ID})
 	}
 	if Debug {
 		if next, ok := w.NextEventAt(); ok {

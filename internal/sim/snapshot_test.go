@@ -62,71 +62,63 @@ type wheelFire struct {
 	ID uint64
 }
 
-// drainWheel harvests a wheel cycle by cycle to horizon, recording every
-// firing in execution order. fired points at the slice the restored
-// handler closures append to.
-func drainWheel(w *Wheel, horizon Cycle, fired *[]wheelFire) []wheelFire {
+// drainWheel harvests a wheel cycle by cycle to horizon, dispatching every
+// entry through resolve and returning the firings recorded in fired.
+func drainWheel(w *Wheel, horizon Cycle, resolve func(uint64) (Event, bool), fired *[]wheelFire) []wheelFire {
 	*fired = (*fired)[:0]
 	for c := w.now + 1; c <= horizon; c++ {
-		runCycle(w, c)
+		for _, e := range w.BeginCycle(c) {
+			ev, _ := resolve(e.ID)
+			ev(c)
+		}
 	}
 	out := make([]wheelFire, len(*fired))
 	copy(out, *fired)
 	return out
 }
 
-// TestWheelExportRestoreRoundTrip loads a wheel with keyed, identified
-// events spanning near buckets and the far heap, exports mid-run, restores
-// into a fresh wheel, and checks the remaining executions fire in exactly
-// the original order — the foundation of resume equivalence.
+// TestWheelExportRestoreRoundTrip loads a wheel with keyed events spanning
+// near buckets and the far heap, exports mid-run, restores into a fresh
+// wheel, and checks the remaining executions fire in exactly the original
+// order — the foundation of resume equivalence.
 func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	var fired []wheelFire
-	mk := func(id uint64) Event {
-		return func(at Cycle) { fired = append(fired, wheelFire{At: at, ID: id}) }
+	resolve := func(id uint64) (Event, bool) {
+		return func(at Cycle) { fired = append(fired, wheelFire{At: at, ID: id}) }, true
 	}
 	build := func() *Wheel {
 		w := NewWheel(64)
 		// Deliberately interleaved keys and cycles, plus far-heap entries
 		// beyond the 64-cycle horizon.
-		w.ScheduleKeyedID(5, 3, HandlerID(1, 3, 0), mk(HandlerID(1, 3, 0)))
-		w.ScheduleKeyedID(5, 1, HandlerID(1, 1, 0), mk(HandlerID(1, 1, 0)))
-		w.ScheduleKeyedID(5, 3, HandlerID(2, 3, 1), mk(HandlerID(2, 3, 1)))
-		w.ScheduleKeyedID(9, 2, HandlerID(3, 2, 0), mk(HandlerID(3, 2, 0)))
-		w.ScheduleKeyedID(200, 4, HandlerID(4, 4, 0), mk(HandlerID(4, 4, 0)))
-		w.ScheduleKeyedID(450, 1, HandlerID(5, 1, 2), mk(HandlerID(5, 1, 2)))
+		w.Schedule(5, 3, HandlerID(1, 3, 0))
+		w.Schedule(5, 1, HandlerID(1, 1, 0))
+		w.Schedule(5, 3, HandlerID(2, 3, 1))
+		w.Schedule(9, 2, HandlerID(3, 2, 0))
+		w.Schedule(200, 4, HandlerID(4, 4, 0))
+		w.Schedule(450, 1, HandlerID(5, 1, 2))
+		for c := Cycle(1); c <= 3; c++ {
+			w.BeginCycle(c)
+		}
 		return w
 	}
 
 	// Reference: run to completion without interruption.
-	ref := build()
-	var refTail []wheelFire
-	for c := Cycle(1); c <= 3; c++ {
-		runCycle(ref, c)
-	}
-	refTail = drainWheel(ref, 500, &fired)
+	refTail := drainWheel(build(), 500, resolve, &fired)
 
 	// Round trip at cycle 3 (before anything fired).
-	w := build()
-	for c := Cycle(1); c <= 3; c++ {
-		runCycle(w, c)
-	}
-	st, err := w.ExportState()
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
+	st := build().ExportState()
 	if st.Now != 3 || len(st.Entries) != 6 {
 		t.Fatalf("export: now=%d entries=%d, want 3 and 6", st.Now, len(st.Entries))
 	}
 
 	w2 := NewWheel(64)
-	resolve := func(id uint64) (Event, bool) { return mk(id), true }
 	if err := w2.RestoreState(st, resolve); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if w2.Pending() != 6 {
 		t.Fatalf("restored pending = %d, want 6", w2.Pending())
 	}
-	got := drainWheel(w2, 500, &fired)
+	got := drainWheel(w2, 500, resolve, &fired)
 	if !reflect.DeepEqual(got, refTail) {
 		t.Fatalf("restored firing order diverges:\n got %v\nwant %v", got, refTail)
 	}
@@ -135,22 +127,6 @@ func TestWheelExportRestoreRoundTrip(t *testing.T) {
 	// global insertion order.
 	if st.Seq == 0 {
 		t.Fatal("exported Seq is zero despite six insertions")
-	}
-}
-
-// TestWheelExportRejectsAnonymousEvents: events scheduled without a handler
-// ID cannot be reconstructed by a resolver, so export must fail loudly
-// rather than silently dropping them.
-func TestWheelExportRejectsAnonymousEvents(t *testing.T) {
-	w := NewWheel(64)
-	w.ScheduleKeyed(5, 1, func(Cycle) {})
-	if _, err := w.ExportState(); err == nil {
-		t.Fatal("export of an id-less near event succeeded")
-	}
-	w2 := NewWheel(64)
-	w2.Schedule(500, func(Cycle) {}) // far heap path
-	if _, err := w2.ExportState(); err == nil {
-		t.Fatal("export of an id-less far event succeeded")
 	}
 }
 
@@ -200,7 +176,7 @@ func TestHandlerIDPacking(t *testing.T) {
 	} {
 		id := HandlerID(tc.kind, tc.obj, tc.param)
 		if id == 0 {
-			t.Fatalf("HandlerID(%v) = 0, the reserved non-snapshotable value", tc)
+			t.Fatalf("HandlerID(%v) = 0, which names no handler", tc)
 		}
 		if HandlerKind(id) != tc.kind || HandlerObj(id) != tc.obj || HandlerParam(id) != tc.param {
 			t.Errorf("HandlerID(%d,%d,%d) unpacked to (%d,%d,%d)",

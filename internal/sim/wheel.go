@@ -5,25 +5,21 @@ import (
 	"slices"
 )
 
-// Event is a callback fired at a scheduled cycle. Events must not schedule
-// into the past.
+// Event is a handler callback. Wheel entries do not hold events; they name
+// them by handler descriptor (see HandlerID), and the caller resolves each
+// harvested descriptor to its Event. Events must not schedule into the past.
 type Event func(now Cycle)
 
-// Entry is one scheduled event together with its ordering coordinates: the
-// actor key that owns it (see ActorKey) and the global insertion sequence
-// number. BeginCycle returns a cycle's entries sorted by (Key, Seq) — the
-// canonical order the sharded network engine executes in.
+// Entry is one scheduled event: the actor key that owns it (see ActorKey),
+// the global insertion sequence number, and the handler descriptor naming
+// what runs. BeginCycle returns a cycle's entries sorted by (Key, Seq) — the
+// canonical order the sharded network engine executes in. An entry is plain
+// data, so the same triple is what a checkpoint stores and what dispatch
+// resolves.
 type Entry struct {
 	Key uint64
 	Seq uint64
-	Ev  Event
-
-	// ID names the handler behind Ev for checkpointing: closures cannot be
-	// serialized, so every event scheduled by the network engine carries a
-	// stable descriptor (see network handler registry) that a restore
-	// resolves back to the rebuilt closure. ID 0 means "not snapshotable";
-	// ExportState refuses wheels containing such entries.
-	ID uint64
+	ID  uint64
 }
 
 // Wheel is a timing wheel for near-future events with a heap overflow for
@@ -38,7 +34,8 @@ type Entry struct {
 // There is one drain discipline: BeginCycle hands a cycle's events back
 // sorted by (Key, Seq) — a total order that is independent of how many
 // shards produced them, as long as every key has a single deterministic
-// producer — and the caller runs them (DESIGN.md §6g). The ordering is a
+// producer — and the caller resolves each entry's descriptor and runs the
+// handler (DESIGN.md §6g). The ordering is a
 // stable sort on Key alone: a harvested run is already in Seq order
 // (matured far-heap events, then the bucket), so no comparator ever looks
 // at Seq.
@@ -80,37 +77,19 @@ func NewWheel(size int) *Wheel {
 	}
 }
 
-// Schedule registers ev to fire at cycle at under key 0 (the coordinator
-// band; see ScheduleKeyed). A request for the current cycle (or earlier) is
-// deferred to the next cycle, since the current cycle's bucket has already
-// been harvested.
-func (w *Wheel) Schedule(at Cycle, ev Event) {
-	w.ScheduleKeyed(at, 0, ev)
-}
-
-// ScheduleKeyed registers ev to fire at cycle at under the given ordering
-// key. The sequence number is assigned here, at insertion, so the canonical
-// (Key, Seq) order of a cycle is fixed by the order Schedule calls reach the
-// wheel — which the sharded engine makes deterministic by draining staged
-// schedules in shard order.
-func (w *Wheel) ScheduleKeyed(at Cycle, key uint64, ev Event) {
-	w.ScheduleKeyedID(at, key, 0, ev)
-}
-
-// ScheduleID registers ev under key 0 with a checkpoint handler descriptor.
-func (w *Wheel) ScheduleID(at Cycle, id uint64, ev Event) {
-	w.ScheduleKeyedID(at, 0, id, ev)
-}
-
-// ScheduleKeyedID is ScheduleKeyed plus a handler descriptor id recorded in
-// the entry, allowing the wheel's contents to be exported to a checkpoint
-// and resolved back to events on restore.
-func (w *Wheel) ScheduleKeyedID(at Cycle, key, id uint64, ev Event) {
+// Schedule registers handler id to fire at cycle at under the given
+// ordering key (0 is the coordinator band). A request for the current
+// cycle (or earlier) is deferred to the next cycle, since the current
+// cycle's bucket has already been harvested. The sequence number is
+// assigned here, at insertion, so the canonical (Key, Seq) order of a cycle
+// is fixed by the order Schedule calls reach the wheel — which the sharded
+// engine makes deterministic by draining staged schedules in shard order.
+func (w *Wheel) Schedule(at Cycle, key, id uint64) {
 	if at <= w.now {
 		at = w.now + 1
 	}
 	w.seq++
-	w.insert(at, Entry{Key: key, Seq: w.seq, ID: id, Ev: ev})
+	w.insert(at, Entry{Key: key, Seq: w.seq, ID: id})
 }
 
 // insert files e under cycle at (> w.now): in its bucket when at lies

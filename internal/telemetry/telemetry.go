@@ -165,12 +165,11 @@ type Registry struct {
 	flight *FlightRecorder
 
 	samplerArmed bool
-	sampleEvt    sim.Event
-	samplerWrap  sim.Event // stable arm() wrapper, resolvable on restore
+	sampleEvt    sim.Event // the HTelemSample handler
 
 	// markers retains every ScheduleMarker wrapper in registration order;
-	// the ordinal is the marker's checkpoint handler descriptor, so a
-	// restored wheel can resolve marker entries back to their closures.
+	// the ordinal is the obj field of the marker's handler descriptor, so
+	// wheel entries (live or restored) resolve back to their closures.
 	// Registration order is deterministic (markers are scheduled during
 	// network construction from the fault schedule).
 	markers []sim.Event
@@ -201,13 +200,10 @@ func NewRegistry(cfg Config, w *sim.Wheel) *Registry {
 		flight: NewFlightRecorder(cfg.FlightCap),
 	}
 	r.sampleEvt = func(now sim.Cycle) {
+		r.samplerArmed = false
 		r.pending--
 		r.sampleAll(now)
 		r.arm(now)
-	}
-	r.samplerWrap = func(at sim.Cycle) {
-		r.samplerArmed = false
-		r.sampleEvt(at)
 	}
 	return r
 }
@@ -259,7 +255,7 @@ func (r *Registry) arm(now sim.Cycle) {
 	}
 	r.samplerArmed = true
 	r.pending++
-	r.wheel.ScheduleID(now+r.cfg.SampleEvery, sim.HandlerID(sim.HTelemSample, 0, 0), r.samplerWrap)
+	r.wheel.Schedule(now+r.cfg.SampleEvery, 0, sim.HandlerID(sim.HTelemSample, 0, 0))
 }
 
 func (r *Registry) sampleAll(now sim.Cycle) {
@@ -290,17 +286,17 @@ func (r *Registry) ScheduleMarker(at sim.Cycle, fn sim.Event) {
 	}
 	ordinal := uint32(len(r.markers))
 	r.markers = append(r.markers, wrap)
-	r.wheel.ScheduleID(at, sim.HandlerID(sim.HTelemMarker, ordinal, 0), wrap)
+	r.wheel.Schedule(at, 0, sim.HandlerID(sim.HTelemMarker, ordinal, 0))
 }
 
-// ResolveHandler maps a checkpoint handler descriptor owned by the registry
-// (sampler tick, scheduled marker) back to its event closure. Marker
+// ResolveHandler maps a handler descriptor owned by the registry (sampler
+// tick, scheduled marker) back to its event closure. Marker
 // ordinals refer to registration order, which is deterministic per
 // configuration.
 func (r *Registry) ResolveHandler(id uint64) (sim.Event, bool) {
 	switch sim.HandlerKind(id) {
 	case sim.HTelemSample:
-		return r.samplerWrap, true
+		return r.sampleEvt, true
 	case sim.HTelemMarker:
 		if ord := int(sim.HandlerObj(id)); ord < len(r.markers) {
 			return r.markers[ord], true

@@ -11,17 +11,18 @@ import (
 
 // drive runs the wheel from cycle 1 through end, firing events as the
 // simulator's cycle loop would.
-func drive(w *sim.Wheel, end sim.Cycle) {
+func drive(w *sim.Wheel, r *Registry, end sim.Cycle) {
 	for c := sim.Cycle(1); c <= end; c++ {
-		runCycle(w, c)
+		runCycle(w, r, c)
 	}
 }
 
 // runCycle harvests cycle now from w and runs its events in canonical
-// order.
-func runCycle(w *sim.Wheel, now sim.Cycle) {
+// order, resolving each through the registry (its only scheduler here).
+func runCycle(w *sim.Wheel, r *Registry, now sim.Cycle) {
 	for _, e := range w.BeginCycle(now) {
-		e.Ev(now)
+		ev, _ := r.ResolveHandler(e.ID)
+		ev(now)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestWheelDrivenSampling(t *testing.T) {
 	var reads int
 	r.Gauge("g", func(now sim.Cycle) float64 { reads++; return float64(now) })
 	r.Start(0)
-	drive(w, 40)
+	drive(w, r, 40)
 	// Baseline at 0 plus samples at 8,16,24,32,40.
 	if r.Samples() != 6 || reads != 6 {
 		t.Fatalf("samples=%d reads=%d, want 6", r.Samples(), reads)
@@ -71,7 +72,7 @@ func TestRingCompactionDoublesStride(t *testing.T) {
 	r := NewRegistry(Config{Enabled: true, SampleEvery: 4, RingCap: 8}, w)
 	r.Counter("c", func() int64 { return 0 })
 	r.Start(0)
-	drive(w, 4*40) // 41 sampling rounds against a ring of 8
+	drive(w, r, 4*40) // 41 sampling rounds against a ring of 8
 	s, _ := r.Lookup("c")
 	if s.Stride < 4 {
 		t.Fatalf("stride=%d, want >=4 after repeated compaction", s.Stride)
@@ -171,7 +172,7 @@ func TestScheduleMarkerPendingAccounting(t *testing.T) {
 	if r.PendingEvents() != 1 {
 		t.Fatalf("pending=%d before fire", r.PendingEvents())
 	}
-	drive(w, 10)
+	drive(w, r, 10)
 	if fired != 10 || r.PendingEvents() != 0 {
 		t.Fatalf("fired=%d pending=%d", fired, r.PendingEvents())
 	}
@@ -184,7 +185,7 @@ func TestChromeTraceExport(t *testing.T) {
 	r.Counter("net.delivered", func() int64 { return 7 })
 	r.Record(Event{At: 20, Kind: EventLinkDown, Link: 3, Router: -1})
 	r.Start(0)
-	drive(w, 32)
+	drive(w, r, 32)
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, r); err != nil {
@@ -234,7 +235,7 @@ func TestCSVExport(t *testing.T) {
 	r := NewRegistry(Config{Enabled: true, SampleEvery: 16, RingCap: 32}, w)
 	r.Gauge("a", func(now sim.Cycle) float64 { return 1.5 })
 	r.Start(0)
-	drive(w, 16)
+	drive(w, r, 16)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, r); err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestSamplerBoundsFastForward(t *testing.T) {
 	}
 	// Fast-forward to the boundary and fire it, as the simulator core does.
 	w.SkipTo(next - 1)
-	runCycle(w, next)
+	runCycle(w, r, next)
 	if r.Samples() != 2 { // baseline + boundary sample
 		t.Fatalf("samples=%d after skip to boundary", r.Samples())
 	}
